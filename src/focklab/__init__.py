@@ -52,16 +52,16 @@ from .operators import (
 )
 from .criteria import (
     Classification,
+    Decision,
     GaugeProfile,
     Verdict,
     classify,
+    decide,
     dilation_compose,
     essential_norm_bracket,
     gauge_at,
-    gauge_limsup,
     gauge_plane_norm,
     gauge_profile,
-    gauge_sup,
 )
 from .topology import (
     ComponentId,

@@ -111,7 +111,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
         matrix_order=options.pop("matrix_order", 64),
         grid_radius=options.pop("grid_radius", 6.0),
-        output_format=fmt,
         seed=options.pop("seed", 0),
     )
     try:

@@ -23,7 +23,6 @@ class RunConfig:
     quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
     matrix_order: int = 64
     grid_radius: float = 6.0
-    output_format: str = "json"
     seed: int = 0
 
     def __post_init__(self):
@@ -31,8 +30,6 @@ class RunConfig:
             raise ValueError("matrix_order must be at least 8")
         if self.grid_radius <= 0:
             raise ValueError("grid_radius must be positive")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
 
 def max_workers() -> int:

@@ -7,8 +7,8 @@ Everything pivots on the pointwise gauge of a symbol pair,
 
 whose supremum, limit at infinity and plane integrability decide the
 operator-theoretic trichotomy.  For the poly-exp symbol class all of these
-are decided symbolically (exactly), with numerics attached only as
-cross-checks:
+are decided symbolically (exactly) from the map's regime, so ``decide``
+runs no numerics; ``classify`` adds the numeric norm brackets:
 
 * |a| < 1 (and a = 0): the exponent is a negative-definite quadratic, so
   the supremum is finite and attained, and the gauge vanishes at infinity.
@@ -21,13 +21,16 @@ cross-checks:
   never in any L^s of the plane, so |a| = 1 always fails; for |a| < 1 the
   Gaussian factor wins and the L^s norm is finite, computed by quadrature.
 
-Decision rules carry stable tags (``rules`` on the classification) that
-reports cite; see the README catalog.
+Decision rules carry stable tags (``rules`` on the decision and the
+classification) that reports cite; see the README catalog.  The annulus
+scan and the polar-scan cross-check are standalone numeric views of the
+gauge that no decision reads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,33 +75,28 @@ def _safe_exp(x: float) -> float:
 
 @dataclass(frozen=True)
 class GaugeProfile:
-    """Symbolic sup/limsup of the gauge with numeric cross-checks attached.
+    """Sup and limsup of the gauge for one symbol pair.
 
-    ``limsup_exact_zero`` distinguishes the exact symbolic zero (Gaussian
-    decay) from a merely small numeric value; classification decisions only
-    ever read the symbolic fields.
+    The limsup, and the sup when |a| = 1, are symbolic; the sup for |a| < 1
+    is the maximum of the multi-start ascent.  ``limsup_exact_zero``
+    distinguishes the exact symbolic zero (Gaussian decay) from a merely
+    small value.
     """
 
     symbolic_sup: float
     symbolic_limsup: float
     limsup_exact_zero: bool
-    numeric_sup: float
-    annulus_sups: tuple[tuple[float, float], ...]
     witness_direction: complex | None = None
 
-    @property
-    def divergence_evidence(self) -> bool:
-        """Numeric hint that the profile diverges: an annulus supremum past 1e12.
 
-        Evidence only; it never overrules the symbolic finiteness decision.
-        """
-        return any(s > 1e12 for _, s in self.annulus_sups)
-
-
-def _unit_leaf_factor(psi: EntireFunction, phi: AffineMap) -> complex | None:
-    """For |a| = 1: the constant value of psi * exp(conj(b) a z), if constant."""
+def _leaf_level(psi: EntireFunction, phi: AffineMap) -> float | None:
+    """For |a| = 1: the constant gauge level |g| e^{|b|^2/2} when
+    g = psi * exp(conj(b) a z) is constant (a leaf weight), else None."""
     g = symbols.mul(psi, symbols.exp_term(phi.b.conjugate() * phi.a))
-    return symbols.constant_value(g, tol=symbols.TOL_SYM * max(1.0, abs(phi.a * phi.b)))
+    factor = symbols.constant_value(g, tol=symbols.TOL_SYM * max(1.0, abs(phi.a * phi.b)))
+    if factor is None:
+        return None
+    return abs(factor) * _safe_exp(abs(phi.b) ** 2 / 2.0)
 
 
 def _divergence_direction(psi: EntireFunction, phi: AffineMap) -> complex:
@@ -108,6 +106,20 @@ def _divergence_direction(psi: EntireFunction, phi: AffineMap) -> complex:
     if abs(dominant.rate) <= symbols.TOL_SYM:
         return 1 + 0j
     return dominant.rate.conjugate() / abs(dominant.rate)
+
+
+def gauge_profile(psi: EntireFunction, phi: AffineMap) -> GaugeProfile:
+    """Sup/limsup profile of the gauge for one symbol pair."""
+    if psi.is_zero:
+        return GaugeProfile(0.0, 0.0, True)
+    if phi.is_unit_modulus:
+        level = _leaf_level(psi, phi)
+        if level is None:
+            return GaugeProfile(math.inf, math.inf, False, _divergence_direction(psi, phi))
+        return GaugeProfile(level, level, False)
+    # |a| < 1 (constant maps included): Gaussian decay wins, limsup is exactly 0
+    _, best = gauge_peak(psi, phi)
+    return GaugeProfile(_safe_exp(best), 0.0, True)
 
 
 def _annulus_sup(psi: EntireFunction, phi: AffineMap, radius: float, n_angles: int = 512) -> float:
@@ -134,50 +146,23 @@ def _annulus_sup(psi: EntireFunction, phi: AffineMap, radius: float, n_angles: i
     return _safe_exp(best)
 
 
-def gauge_profile(psi: EntireFunction, phi: AffineMap,
-                  annulus_radii: tuple[float, ...] = ANNULUS_RADII) -> GaugeProfile:
-    """Full sup/limsup profile of the gauge for one symbol pair."""
-    annulus = tuple((r, _annulus_sup(psi, phi, r)) for r in annulus_radii)
+def annulus_sups(psi: EntireFunction, phi: AffineMap,
+                 radii: tuple[float, ...] = ANNULUS_RADII) -> tuple[tuple[float, float], ...]:
+    """(r, sup of the gauge on |z| = r) per radius: a numeric view of how the
+    gauge approaches its limsup.  No decision reads it."""
+    return tuple((r, _annulus_sup(psi, phi, r)) for r in radii)
 
-    if psi.is_zero:
-        return GaugeProfile(0.0, 0.0, True, 0.0, annulus)
 
+def polar_scan_sup(psi: EntireFunction, phi: AffineMap) -> float:
+    """Independent numeric cross-check of the |a| < 1 gauge supremum: ascend
+    from the four best points of a coarse polar scan."""
     if phi.is_unit_modulus:
-        factor = _unit_leaf_factor(psi, phi)
-        if factor is None:
-            direction = _divergence_direction(psi, phi)
-            numeric = max(s for _, s in annulus)
-            return GaugeProfile(math.inf, math.inf, False, numeric, annulus, direction)
-        level = abs(factor) * _safe_exp(abs(phi.b) ** 2 / 2.0)
-        numeric = max(s for _, s in annulus)
-        return GaugeProfile(level, level, False, numeric, annulus)
-
-    # |a| < 1 (constant maps included): Gaussian decay wins, limsup is exactly 0
-    def objective(z: complex) -> float:
-        return log_gauge_at(psi, phi, z)
-
+        raise HypothesisViolated("the polar scan cross-checks the supremum for |a| < 1 only")
     _, cap = gauge_ascent_seeds(psi, phi)
-    _, best = gauge_peak(psi, phi)
-    symbolic_sup = _safe_exp(best)
-
-    # independent cross-check: ascend from the best points of a coarse polar scan
-    grid = polar_grid(cap, 24, 16, include_origin=True)
-    grid_logs = sorted(((objective(complex(z)), complex(z)) for z in grid),
-                       key=lambda pair: pair[0], reverse=True)
-    _, numeric_best = maximize.maximize(objective, [z for _, z in grid_logs[:4]])
-    numeric_sup = _safe_exp(numeric_best)
-
-    return GaugeProfile(symbolic_sup, 0.0, True, numeric_sup, annulus)
-
-
-def gauge_sup(psi: EntireFunction, phi: AffineMap) -> GaugeProfile:
-    """Profile with the supremum decision (finite iff the operator family is bounded, p <= q)."""
-    return gauge_profile(psi, phi)
-
-
-def gauge_limsup(psi: EntireFunction, phi: AffineMap) -> GaugeProfile:
-    """Profile with the limit decision (zero iff compact, p <= q)."""
-    return gauge_profile(psi, phi)
+    grid = [complex(z) for z in polar_grid(cap, 24, 16, include_origin=True)]
+    grid.sort(key=lambda z: log_gauge_at(psi, phi, z), reverse=True)
+    _, best = maximize.maximize(lambda z: log_gauge_at(psi, phi, z), grid[:4])
+    return _safe_exp(best)
 
 
 def gauge_plane_norm(psi: EntireFunction, phi: AffineMap, p: float, q: float,
@@ -228,6 +213,44 @@ class Verdict(str, Enum):
 
 
 @dataclass(frozen=True)
+class Decision:
+    """The symbolic part of a classification.
+
+    ``limsup`` is the limsup of the gauge at infinity: 0 for |a| < 1, the
+    leaf level for a unit-modulus leaf weight, inf otherwise.
+    """
+
+    verdict: Verdict
+    rules: tuple[str, ...]
+    witness: complex | None
+    limsup: float
+
+
+def decide(op: WeightedCompositionOperator) -> Decision:
+    """Verdict, rule tags, witness direction and gauge limsup of an operator.
+
+    Read off the map's regime (a = 0, |a| < 1 or |a| = 1), the unit-modulus
+    leaf test and p vs q alone: no ascent, no scan, no quadrature.
+    """
+    psi, phi, p, q = op.psi, op.phi, op.p, op.q
+    if phi.is_constant_map:
+        return Decision(Verdict.COMPACT, (RULE_RANK_ONE,), None, 0.0)
+    if not phi.is_unit_modulus:
+        rules = ((RULE_INTEGRABILITY, RULE_HOLDER_UPPER, RULE_EMPIRICAL_LOWER) if q < p
+                 else (RULE_SUP_BOUNDED, RULE_SUP_BRACKET, RULE_VANISHING))
+        return Decision(Verdict.COMPACT, rules, None, 0.0)
+    level = _leaf_level(psi, phi)
+    limsup = math.inf if level is None else level
+    if q < p or level is None:
+        # q < p: a nonzero entire profile is never plane integrable
+        rule = RULE_INTEGRABILITY if q < p else RULE_SUP_BOUNDED
+        return Decision(Verdict.UNBOUNDED, (rule,), _divergence_direction(psi, phi), limsup)
+    ess_rule = RULE_ESS_BRACKET if p > 1.0 else RULE_ESS_TRIVIAL
+    return Decision(Verdict.BOUNDED_NONCOMPACT,
+                    (RULE_SUP_BOUNDED, RULE_SUP_BRACKET, RULE_UNIT_LEAF, ess_rule), None, limsup)
+
+
+@dataclass(frozen=True)
 class Classification:
     verdict: Verdict
     witness: complex | None
@@ -252,70 +275,52 @@ class Classification:
 def classify(op: WeightedCompositionOperator,
              spec: QuadratureSpec | None = None,
              family: FamilySpec | None = None) -> Classification:
-    """Complete verdict with norm and essential-norm brackets.
+    """``decide`` plus the numeric norm and essential-norm brackets.
 
     p <= q: bounded iff the gauge supremum is finite, compact iff the gauge
     vanishes at infinity, with bracket m <= ||W|| <= (q/(p|a|^2))^{1/q} m.
     q < p: bounded iff compact iff the gauge is plane integrable; the upper
     bound is the Hoelder constant times the plane norm, the lower bound is
     empirical.  a = 0: rank one, hence compact, with ||W|| <= e^{|b|^2/2} ||psi||_q.
+    A supremum whose exponential overflows is reported as the bracket
+    [float_info.max, inf].
     """
     spec = spec or DEFAULT_SPEC
     psi, phi, p, q = op.psi, op.phi, op.p, op.q
-    profile = gauge_profile(psi, phi)
+    decision = decide(op)
+
+    if decision.verdict is Verdict.UNBOUNDED:
+        return Classification(
+            Verdict.UNBOUNDED, decision.witness, math.inf, math.inf, math.inf, math.inf,
+            math.inf if q < p else None, decision.rules,
+        )
 
     if phi.is_constant_map:
         # the gauge sup can equal the bound exactly (kernel-type weights), so
         # the quadrature-based upper side carries its certified error
         norm_psi = fock_norm(psi, q, spec)
         upper = _safe_exp(abs(phi.b) ** 2 / 2.0) * (norm_psi.value + norm_psi.error_estimate)
-        return Classification(
-            Verdict.COMPACT, None, profile.symbolic_sup, upper, 0.0, 0.0,
-            None, (RULE_RANK_ONE,),
-        )
+        m = min(gauge_profile(psi, phi).symbolic_sup, sys.float_info.max)
+        return Classification(Verdict.COMPACT, None, m, upper, 0.0, 0.0, None, decision.rules)
 
     if q < p:
-        if phi.is_unit_modulus:
-            return Classification(
-                Verdict.UNBOUNDED, _divergence_direction(psi, phi),
-                math.inf, math.inf, math.inf, math.inf, math.inf,
-                (RULE_INTEGRABILITY,),
-            )
         ls = gauge_plane_norm(psi, phi, p, q, spec)
         upper = (q / (2.0 * math.pi)) ** (1.0 / q) * (2.0 * math.pi / (p * abs(phi.a) ** 2)) ** (1.0 / p) * ls
         lower = empirical_norm(op, family, spec)
-        return Classification(
-            Verdict.COMPACT, None, lower, upper, 0.0, 0.0, ls,
-            (RULE_INTEGRABILITY, RULE_HOLDER_UPPER, RULE_EMPIRICAL_LOWER),
-        )
+        return Classification(Verdict.COMPACT, None, lower, upper, 0.0, 0.0, ls, decision.rules)
 
-    # p <= q, 0 < |a| <= 1
-    if math.isinf(profile.symbolic_sup):
-        return Classification(
-            Verdict.UNBOUNDED, profile.witness_direction,
-            math.inf, math.inf, math.inf, math.inf, None,
-            (RULE_SUP_BOUNDED,),
-        )
-    m = profile.symbolic_sup
+    # p <= q, 0 < |a| <= 1; a leaf's gauge is constant, so its sup is the limsup
     bracket_factor = (q / (p * abs(phi.a) ** 2)) ** (1.0 / q)
-    upper = bracket_factor * m
-    if profile.limsup_exact_zero:
-        return Classification(
-            Verdict.COMPACT, None, m, upper, 0.0, 0.0, None,
-            (RULE_SUP_BOUNDED, RULE_SUP_BRACKET, RULE_VANISHING),
-        )
-    rules = [RULE_SUP_BOUNDED, RULE_SUP_BRACKET, RULE_UNIT_LEAF]
-    limsup = profile.symbolic_limsup
-    if p > 1.0:
-        # the bracket's raw upper side can exceed the operator-norm bound
-        # (both bound the essential norm); the classification keeps the min
-        ess = (limsup, min(2.0 * bracket_factor * limsup, upper))
-        rules.append(RULE_ESS_BRACKET)
-    else:
-        ess = (0.0, upper)
-        rules.append(RULE_ESS_TRIVIAL)
+    sup = decision.limsup if phi.is_unit_modulus else gauge_profile(psi, phi).symbolic_sup
+    # an overflowed sup exceeds float_info.max, which stays a true lower bound
+    m, upper = min(sup, sys.float_info.max), bracket_factor * sup
+    if decision.verdict is Verdict.COMPACT:
+        return Classification(Verdict.COMPACT, None, m, upper, 0.0, 0.0, None, decision.rules)
+    # the bracket's raw upper side can exceed the operator-norm bound (both
+    # bound the essential norm); the classification keeps the min
+    ess = (m, min(2.0 * bracket_factor * sup, upper)) if p > 1.0 else (0.0, upper)
     return Classification(
-        Verdict.BOUNDED_NONCOMPACT, None, m, upper, ess[0], ess[1], None, tuple(rules),
+        Verdict.BOUNDED_NONCOMPACT, None, m, upper, ess[0], ess[1], None, decision.rules,
     )
 
 
@@ -323,20 +328,21 @@ def essential_norm_bracket(op: WeightedCompositionOperator) -> tuple[float, floa
     """(limsup, 2 (q/(p|a|^2))^{1/q} limsup) for bounded operators with 1 < p <= q.
 
     Refuses outside that exponent range: the bracket is not available there.
+    A limsup whose exponential overflows has the lower side float_info.max.
     """
     p, q = op.p, op.q
     if p <= 1.0:
         raise HypothesisViolated("essential norm bracket requires p > 1")
     if p > q:
         raise HypothesisViolated("essential norm bracket requires p <= q")
-    profile = gauge_profile(op.psi, op.phi)
-    if math.isinf(profile.symbolic_sup):
+    decision = decide(op)
+    if decision.verdict is Verdict.UNBOUNDED:
         raise HypothesisViolated("essential norm is defined for bounded operators only")
-    limsup = 0.0 if profile.limsup_exact_zero else profile.symbolic_limsup
+    limsup = decision.limsup
     if limsup == 0.0:
         return (0.0, 0.0)
     factor = 2.0 * (q / (p * abs(op.phi.a) ** 2)) ** (1.0 / q)
-    return (limsup, factor * limsup)
+    return (min(limsup, sys.float_info.max), factor * limsup)
 
 
 def dilation_compose(op: WeightedCompositionOperator, r: float) -> WeightedCompositionOperator:

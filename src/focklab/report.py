@@ -16,8 +16,10 @@ from typing import Any, Callable
 
 from .config import RunConfig
 from .criteria import (
+    RULE_EMPIRICAL_LOWER,
     RULE_ESS_BRACKET,
     RULE_ESS_UNIT,
+    annulus_sups,
     classify,
     essential_norm_bracket,
     gauge_profile,
@@ -114,15 +116,6 @@ def _operator(options: dict[str, Any], config: RunConfig,
     return WeightedCompositionOperator(psi, phi, float(options["p"]), float(options["q"]))
 
 
-def _profile_diagnostics(op: WeightedCompositionOperator) -> dict[str, Any]:
-    profile = gauge_profile(op.psi, op.phi)
-    return {
-        "gauge_numeric_sup": ereal(profile.numeric_sup),
-        "gauge_annulus_sups": [[r, ereal(s)] for r, s in profile.annulus_sups],
-        "gauge_divergence_evidence": profile.divergence_evidence,
-    }
-
-
 def _handle_norm(options, config: RunConfig) -> Report:
     f = parse_symbol(options["symbol"])
     p = float(options["p"])
@@ -159,7 +152,6 @@ def _handle_classify(options, config: RunConfig) -> Report:
          "p": op.p, "q": op.q},
         results,
         c.rules,
-        _profile_diagnostics(op),
     )
 
 
@@ -168,8 +160,11 @@ def _handle_opnorm(options, config: RunConfig) -> Report:
     order = int(options.get("matrix_order") or config.matrix_order)
     family = FamilySpec(kernel_radius=config.grid_radius)
     c = classify(op, config.quadrature, family)
+    # for q < p classify's lower side already is this family's empirical norm
+    empirical = (c.norm_lower if RULE_EMPIRICAL_LOWER in c.rules
+                 else empirical_norm(op, family, config.quadrature))
     results: dict[str, Any] = {
-        "empirical_lower": ereal(empirical_norm(op, family, config.quadrature)),
+        "empirical_lower": ereal(empirical),
         "theory_lower": ereal(c.norm_lower),
         "theory_upper": ereal(c.norm_upper),
     }
@@ -201,14 +196,13 @@ def _handle_essnorm(options, config: RunConfig) -> Report:
          "p": op.p, "q": op.q},
         {"ess_lower": ereal(lo), "ess_upper": ereal(hi)},
         tuple(rules),
-        _profile_diagnostics(op),
     )
 
 
 def _handle_diff(options, config: RunConfig) -> Report:
     first = _operator(options, config, "psi1", "phi1")
     second = _operator(options, config, "psi2", "phi2")
-    verdict = compact_difference(first, second, config.quadrature)
+    verdict = compact_difference(first, second)
     if verdict.reason is DifferenceReason.BOTH_COMPACT:
         rules = (RULE_DIFF_BOTH_COMPACT,)
     elif verdict.reason is DifferenceReason.SAME_SYMBOL_VANISHING:
@@ -227,7 +221,7 @@ def _handle_diff(options, config: RunConfig) -> Report:
 
 def _handle_component(options, config: RunConfig) -> Report:
     op = _operator(options, config)
-    cid = component_id(op, config.quadrature)
+    cid = component_id(op)
     rule = RULE_FULL_CONNECTED if cid.kind is ComponentKind.ALL_CONNECTED else RULE_COMPONENTS
     return Report(
         "component",
@@ -292,13 +286,13 @@ def _handle_profile_m(options, config: RunConfig) -> Report:
     psi = parse_symbol(options["psi"])
     phi = parse_affine(options["phi"])
     radii = tuple(float(r) for r in str(options.get("radii") or "2,4,8,16,32,64,128,256,512,1024").split(","))
-    profile = gauge_profile(psi, phi, annulus_radii=radii)
+    profile = gauge_profile(psi, phi)
     return Report(
         "profile-m",
         {"psi": render(psi), "phi": {"a": _complex(phi.a), "b": _complex(phi.b)},
          "radii": list(radii)},
         {"columns": ["radius", "annulus_sup"],
-         "rows": [[r, s] for r, s in profile.annulus_sups],
+         "rows": [[r, s] for r, s in annulus_sups(psi, phi, radii)],
          "symbolic_sup": ereal(profile.symbolic_sup),
          "symbolic_limsup": ereal(profile.symbolic_limsup)},
         (),

@@ -1,8 +1,8 @@
 """Topological structure of the operator spaces: compact differences, path
 components, isolated points, and numeric path profiles.
 
-All decisions here are sharp dichotomies decided symbolically through the
-gauge machinery; the numeric outputs (kernel-witness distance bounds and
+All decisions here are sharp dichotomies read off ``criteria.decide``, which
+runs no numerics; the numeric outputs (kernel-witness distance bounds and
 path increment profiles) demonstrate the decisions, they never make them.
 
 Component picture for the space of nonzero weighted composition operators:
@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Sequence
 
 from . import symbols
-from .criteria import Verdict, classify, dilation_compose, gauge_profile
+from .criteria import Verdict, decide, dilation_compose
 from .errors import HypothesisViolated, NotBounded
 from .fock import fock_norm, kernel
 from .operators import (
@@ -87,8 +87,7 @@ class ComponentId:
 
 
 def compact_difference(first: WeightedCompositionOperator,
-                       second: WeightedCompositionOperator,
-                       spec: QuadratureSpec | None = None) -> DifferenceVerdict:
+                       second: WeightedCompositionOperator) -> DifferenceVerdict:
     """Exact compactness decision for W1 - W2 (requires 0 < p <= q).
 
     Compact iff both operators are compact, or the maps coincide and the
@@ -105,22 +104,23 @@ def compact_difference(first: WeightedCompositionOperator,
             "compact differences are characterized for p <= q only; for q < p "
             "boundedness and compactness coincide, so classify each operator instead"
         )
-    left = classify(first, spec)
-    right = classify(second, spec)
+    left = decide(first)
+    right = decide(second)
     if left.verdict is Verdict.UNBOUNDED or right.verdict is Verdict.UNBOUNDED:
         raise NotBounded("compact differences are defined for bounded operators")
 
     if first.phi.isclose(second.phi):
         delta = symbols.sub(first.psi, second.psi)
-        profile = gauge_profile(delta, first.phi)
-        if profile.limsup_exact_zero or profile.symbolic_limsup == 0.0:
+        limsup = 0.0 if delta.is_zero else decide(
+            WeightedCompositionOperator(delta, first.phi, first.p, first.q)).limsup
+        if limsup == 0.0:
             return DifferenceVerdict(
                 True, DifferenceReason.SAME_SYMBOL_VANISHING,
                 "maps coincide and the weight-difference gauge vanishes at infinity",
             )
         return DifferenceVerdict(
             False, DifferenceReason.NOT_COMPACT,
-            f"maps coincide but the weight-difference gauge has limsup {profile.symbolic_limsup:g}",
+            f"maps coincide but the weight-difference gauge has limsup {limsup:g}",
         )
 
     if left.verdict is Verdict.COMPACT and right.verdict is Verdict.COMPACT:
@@ -133,11 +133,9 @@ def compact_difference(first: WeightedCompositionOperator,
     )
 
 
-def component_id(op: WeightedCompositionOperator,
-                 spec: QuadratureSpec | None = None) -> ComponentId:
+def component_id(op: WeightedCompositionOperator) -> ComponentId:
     """Path component of a bounded operator in the nonzero-weight operator space."""
-    verdict = classify(op, spec)
-    if verdict.verdict is Verdict.UNBOUNDED:
+    if decide(op).verdict is Verdict.UNBOUNDED:
         raise NotBounded("component membership is defined for bounded operators")
     if op.q < op.p:
         return ComponentId(ComponentKind.ALL_CONNECTED)
@@ -157,8 +155,7 @@ def is_isolated(phi: AffineMap, p: float, q: float) -> bool:
         raise HypothesisViolated(
             "no isolated points for q < p: the composition-operator space is path connected"
         )
-    profile = gauge_profile(symbols.ONE, phi)
-    if math.isinf(profile.symbolic_sup):
+    if decide(composition_operator(phi, p, q)).verdict is Verdict.UNBOUNDED:
         raise NotBounded("the composition operator of this map is not bounded")
     return phi.is_unit_modulus
 
@@ -178,7 +175,7 @@ def distance_lower_bound(phi: AffineMap, other: AffineMap, p: float, q: float,
         raise ValueError("maps coincide; the distance question is about distinct symbols")
     spec = spec or DEFAULT_SPEC
     for candidate in (phi, other):
-        if math.isinf(gauge_profile(symbols.ONE, candidate).symbolic_sup):
+        if decide(composition_operator(candidate, p, q)).verdict is Verdict.UNBOUNDED:
             raise NotBounded("both composition operators must be bounded")
     if w_grid is None:
         w_grid = polar_grid(grid_radius, 12, 16, include_origin=True)
@@ -254,7 +251,7 @@ def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
         if phi is None:
             raise ValueError("dilate path needs the map phi")
         base = composition_operator(phi, p, q)
-        if classify(base, spec).verdict is not Verdict.COMPACT:
+        if decide(base).verdict is not Verdict.COMPACT:
             raise HypothesisViolated("the dilation path starts from a compact composition operator")
         ops = [composition_operator(AffineMap(0.0, phi.b), p, q) if t == 0.0
                else dilation_compose(base, t) if t < 1.0 else base

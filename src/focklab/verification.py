@@ -22,7 +22,9 @@ import numpy as np
 
 from . import symbols, topology
 from .criteria import (
+    ANNULUS_RADII,
     Verdict,
+    annulus_sups,
     classify,
     essential_norm_bracket,
     gauge_at,
@@ -248,8 +250,7 @@ def check_essential_norm(rng: np.random.Generator, fast: bool = False) -> CheckR
         c = random_complex(rng, 1.5) + 0.5
         op = WeightedCompositionOperator(unit_leaf_weight(phi, c), phi, 2.0, 3.0)
         level = abs(c) * math.exp(abs(phi.b) ** 2 / 2.0)
-        profile = gauge_profile(op.psi, op.phi)
-        numeric_limsup = profile.annulus_sups[-1][1]
+        numeric_limsup = annulus_sups(op.psi, op.phi, ANNULUS_RADII[-1:])[0][1]
         worst = max(worst, abs(numeric_limsup - level) / level)
         lo, hi = essential_norm_bracket(op)
         if not math.isclose(lo, level, rel_tol=1e-9):
@@ -282,20 +283,20 @@ def check_compact_difference_table(rng: np.random.Generator, fast: bool = False)
     half = AffineMap(0.5, 0.0)
     w1 = WeightedCompositionOperator(symbols.ONE, half, p, q)
     w2 = WeightedCompositionOperator(symbols.add(symbols.variable(), symbols.ONE), half, p, q)
-    v = compact_difference(w1, w2, CHECK_SPEC)
+    v = compact_difference(w1, w2)
     if not (v.compact and v.reason is DifferenceReason.SAME_SYMBOL_VANISHING):
         failures.append(f"shared compact map: {v.reason.value}")
 
     c_plus = composition_operator(AffineMap(1.0, 0.0), p, q)
     c_minus = composition_operator(AffineMap(-1.0, 0.0), p, q)
-    if compact_difference(c_plus, c_minus, CHECK_SPEC).compact:
+    if compact_difference(c_plus, c_minus).compact:
         failures.append("opposite rotations flagged compact")
 
     theta = complex(math.cos(0.9), math.sin(0.9))
     leaf_phi = AffineMap(theta, 1.0)
     w_leaf1 = WeightedCompositionOperator(unit_leaf_weight(leaf_phi, 1.0), leaf_phi, p, q)
     w_leaf2 = WeightedCompositionOperator(unit_leaf_weight(leaf_phi, 2.0), leaf_phi, p, q)
-    v = compact_difference(w_leaf1, w_leaf2, CHECK_SPEC)
+    v = compact_difference(w_leaf1, w_leaf2)
     expected_level = abs(1.0 - 2.0) * math.exp(0.5)
     delta_profile = gauge_profile(symbols.sub(w_leaf1.psi, w_leaf2.psi), leaf_phi)
     if v.compact:
@@ -309,11 +310,11 @@ def check_compact_difference_table(rng: np.random.Generator, fast: bool = False)
     for _ in range(count):
         a = random_bounded_operator(rng, p, q, allow_unit=True)
         b = random_bounded_operator(rng, p, q, allow_unit=True)
-        fwd = compact_difference(a, b, CHECK_SPEC)
-        rev = compact_difference(b, a, CHECK_SPEC)
+        fwd = compact_difference(a, b)
+        rev = compact_difference(b, a)
         if fwd.compact != rev.compact or fwd.reason is not rev.reason:
             failures.append("difference verdict is not symmetric")
-        own = compact_difference(a, a, CHECK_SPEC)
+        own = compact_difference(a, a)
         if not (own.compact and own.reason is DifferenceReason.SAME_SYMBOL_VANISHING):
             failures.append("self-difference is not the vanishing case")
     return _result(
@@ -342,7 +343,7 @@ def check_components_isolation(rng: np.random.Generator, fast: bool = False) -> 
         (composition_operator(AffineMap(0.3, 0.1), 2.0, 1.0), ComponentKind.ALL_CONNECTED),
     ]
     for k, (op, expected) in enumerate(cases):
-        got = component_id(op, CHECK_SPEC)
+        got = component_id(op)
         if got.kind is not expected:
             failures.append(f"component case {k}: got {got.kind.value}")
 
@@ -362,7 +363,7 @@ def check_components_isolation(rng: np.random.Generator, fast: bool = False) -> 
     for _ in range(4 if fast else 8):
         op = random_bounded_operator(rng, 1.0, 2.0, allow_unit=True)
         verdict = classify(op, CHECK_SPEC).verdict
-        kind = component_id(op, CHECK_SPEC).kind
+        kind = component_id(op).kind
         if (verdict is Verdict.COMPACT) != (kind is ComponentKind.COMPACT_BULK):
             failures.append("compact verdict disagrees with bulk membership")
 

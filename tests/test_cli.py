@@ -109,7 +109,9 @@ def test_essnorm_report():
     assert report.results["ess_lower"] == {"value": 1.0, "finite": True}
     assert report.results["ess_upper"] == {"value": 2.0, "finite": True}
     assert "unit-modulus-essential-floor" in report.citations
-    assert report.diagnostics["gauge_divergence_evidence"] is False
+    # the annulus scan lives in profile-m: no divergence evidence for the rotation
+    profile = run("profile-m", {"psi": "1", "phi": "1,0"}, CHECK_CONFIG)
+    assert not any(s > 1e12 for _, s in profile.results["rows"])
 
 
 def test_diff_component_isolated_reports():

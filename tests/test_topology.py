@@ -29,28 +29,28 @@ def test_difference_shared_compact_map():
     half = AffineMap(0.5, 0.0)
     w1 = WeightedCompositionOperator(sy.ONE, half, 2.0, 2.0)
     w2 = WeightedCompositionOperator(sy.add(sy.variable(), sy.ONE), half, 2.0, 2.0)
-    verdict = compact_difference(w1, w2, CHECK_SPEC)
+    verdict = compact_difference(w1, w2)
     assert verdict.compact and verdict.reason is DifferenceReason.SAME_SYMBOL_VANISHING
 
 
 def test_difference_both_compact_different_maps():
     w1 = composition_operator(AffineMap(0.5, 0.0), 2.0, 2.0)
     w2 = composition_operator(AffineMap(0.25, 0.5), 2.0, 2.0)
-    verdict = compact_difference(w1, w2, CHECK_SPEC)
+    verdict = compact_difference(w1, w2)
     assert verdict.compact and verdict.reason is DifferenceReason.BOTH_COMPACT
 
 
 def test_difference_opposite_rotations_not_compact():
     w1 = composition_operator(IDENTITY, 2.0, 2.0)
     w2 = composition_operator(AffineMap(-1.0, 0.0), 2.0, 2.0)
-    assert not compact_difference(w1, w2, CHECK_SPEC).compact
+    assert not compact_difference(w1, w2).compact
 
 
 def test_difference_distinct_leaf_weights_not_compact():
     phi = AffineMap(UNIT, 1.0)
     w1 = WeightedCompositionOperator(unit_leaf_weight(phi, 1.0), phi, 2.0, 2.0)
     w2 = WeightedCompositionOperator(unit_leaf_weight(phi, 2.0), phi, 2.0, 2.0)
-    verdict = compact_difference(w1, w2, CHECK_SPEC)
+    verdict = compact_difference(w1, w2)
     assert not verdict.compact and verdict.reason is DifferenceReason.NOT_COMPACT
 
 
@@ -61,7 +61,7 @@ def test_difference_refusals():
     unbounded = WeightedCompositionOperator(sy.variable(), IDENTITY, 2.0, 2.0)
     bounded = composition_operator(AffineMap(0.5, 0.0), 2.0, 2.0)
     with pytest.raises(NotBounded):
-        compact_difference(unbounded, bounded, CHECK_SPEC)
+        compact_difference(unbounded, bounded)
     with pytest.raises(ValueError):
         compact_difference(bounded, composition_operator(AffineMap(0.5, 0.0), 2.0, 3.0))
 
@@ -70,31 +70,31 @@ def test_difference_symmetry_and_self(rng):
     for _ in range(5):
         a = random_bounded_operator(rng, 1.0, 2.0, allow_unit=True)
         b = random_bounded_operator(rng, 1.0, 2.0, allow_unit=True)
-        fwd = compact_difference(a, b, CHECK_SPEC)
-        rev = compact_difference(b, a, CHECK_SPEC)
+        fwd = compact_difference(a, b)
+        rev = compact_difference(b, a)
         assert fwd.compact == rev.compact and fwd.reason is rev.reason
-        own = compact_difference(a, a, CHECK_SPEC)
+        own = compact_difference(a, a)
         assert own.compact and own.reason is DifferenceReason.SAME_SYMBOL_VANISHING
 
 
 def test_component_id_cases():
     bulk = WeightedCompositionOperator(
         sy.add(sy.constant(3.0), sy.variable()), AffineMap(0.5, 2.0), 1.0, 2.0)
-    assert component_id(bulk, CHECK_SPEC).kind is ComponentKind.COMPACT_BULK
+    assert component_id(bulk).kind is ComponentKind.COMPACT_BULK
 
     phi = AffineMap(1.0, 1.0)
     leaf = WeightedCompositionOperator(unit_leaf_weight(phi, 1.0), phi, 2.0, 2.0)
-    cid = component_id(leaf, CHECK_SPEC)
+    cid = component_id(leaf)
     assert cid.kind is ComponentKind.UNIT_MODULUS_LEAF
     assert cid.leaf_key == (1.0 + 0j, 1.0 + 0j)
     assert cid.matches(cid)
 
     connected = WeightedCompositionOperator(
         sy.add(sy.ONE, sy.variable()), AffineMap(0.4, 0.2), 3.0, 2.0)
-    assert component_id(connected, CHECK_SPEC, ).kind is ComponentKind.ALL_CONNECTED
+    assert component_id(connected).kind is ComponentKind.ALL_CONNECTED
 
     with pytest.raises(NotBounded):
-        component_id(WeightedCompositionOperator(sy.variable(), IDENTITY, 2.0, 2.0), CHECK_SPEC)
+        component_id(WeightedCompositionOperator(sy.variable(), IDENTITY, 2.0, 2.0))
 
 
 def test_is_isolated_cases():
