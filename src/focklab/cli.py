@@ -103,17 +103,17 @@ def main(argv: list[str] | None = None) -> int:
     options = {k: v for k, v in vars(args).items() if v is not None}
     command = options.pop("command")
     fmt = options.pop("format")
-    config = RunConfig(
-        quadrature=QuadratureSpec(
-            abs_tol=options.pop("abs_tol"),
-            rel_tol=options.pop("rel_tol"),
-            max_radius=options.pop("max_radius"),
-        ),
-        matrix_order=options.pop("matrix_order", 64),
-        grid_radius=options.pop("grid_radius", 6.0),
-        seed=options.pop("seed", 0),
-    )
     try:
+        config = RunConfig(
+            quadrature=QuadratureSpec(
+                abs_tol=options.pop("abs_tol"),
+                rel_tol=options.pop("rel_tol"),
+                max_radius=options.pop("max_radius"),
+            ),
+            matrix_order=options.pop("matrix_order", 64),
+            grid_radius=options.pop("grid_radius", 6.0),
+            seed=options.pop("seed", 0),
+        )
         report = run(command, options, config)
     except FocklabError as exc:
         print(f"error: {exc}", file=sys.stderr)

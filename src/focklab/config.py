@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
 
+from .errors import HypothesisViolated
 from .quadrature import QuadratureSpec
 
 T = TypeVar("T")
@@ -27,9 +28,9 @@ class RunConfig:
 
     def __post_init__(self):
         if self.matrix_order < 8:
-            raise ValueError("matrix_order must be at least 8")
+            raise HypothesisViolated("matrix_order must be at least 8")
         if self.grid_radius <= 0:
-            raise ValueError("grid_radius must be positive")
+            raise HypothesisViolated("grid_radius must be positive")
 
 
 def max_workers() -> int:

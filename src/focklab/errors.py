@@ -60,10 +60,6 @@ class TailLoss(NumericFailure):
     """A truncated matrix column lost more mass than the tolerance allows."""
 
 
-class NonConvergence(NumericFailure):
-    """An iterative scheme hit its iteration cap."""
-
-
 class BoundViolated(NumericFailure):
     """A certified inequality failed on a sample point.
 

@@ -4,10 +4,11 @@ matrices on the Hilbert Fock space, and empirical operator-norm lower bounds.
 The operator sends f to psi * (f o phi).  On the p = q = 2 space the
 normalized monomials z^n / sqrt(n!) are an orthonormal basis, so truncating
 the operator to the first N basis vectors yields a matrix whose largest
-singular value is an exact lower bound for the operator norm and converges
-to it from below as N grows.  Columns are computed symbolically (linearity
-makes them exact up to truncation); the only error is column tail mass,
-which is measured and reported.
+singular value (from LAPACK's SVD) is a lower bound for the operator norm
+and converges to it from below as N grows.  The columns psi (az + b)^j /
+sqrt(j!) come from a Pascal recurrence over j and one batched coefficient
+transform per weight term; they are exact up to truncation, and the only
+error is column tail mass, which is measured and reported.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import symbols
 from .config import parallel_map
-from .errors import NonConvergence, TailLoss, ZeroSymbol
+from .errors import NumericFailure, TailLoss, ZeroSymbol
 from .fock import fock_norm, gauge_peak, kernel, magnitude_power_integrand
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, gaussian_integral, polar_grid
 from .symbols import AffineMap, EntireFunction, validate_fock_index
@@ -79,65 +80,91 @@ class TruncatedMatrix:
     column_tail_fractions: tuple[float, ...]
 
 
-def _sqrt_factorial(n: int) -> float:
-    return math.exp(0.5 * math.lgamma(n + 1))
+def _normalized_coefficients(terms: list[tuple[complex, np.ndarray]], order: int,
+                             width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized-basis coefficients of a batch of functions sum_i Q_i(z) e^{c_i z}.
 
-
-def _basis_coefficients(f: EntireFunction, order: int) -> tuple[np.ndarray, float]:
-    """First ``order`` normalized-basis coefficients of f, plus the tail fraction.
-
-    For a term P e^{cz} the coefficient of z^n / sqrt(n!) is
-        sum_m p_m sqrt(n!) c^{n-m} / (n-m)!,
-    accumulated by a stable multiplicative recurrence in n.
+    Each (c, Q) pair holds a rate and raw polynomial coefficients, Q[m, j]
+    the coefficient of z^m in function j of the ``width`` in the batch.  The
+    coefficient of z^n / sqrt(n!) is
+        sum_m Q[m, j] sqrt(m!) K[n, m],   K[n, m] = c^{n-m} sqrt(n!/m!) / (n-m)!,
+    with K built by the stable multiplicative recurrence
+    K[n + 1, m] = K[n, m] c sqrt(n + 1) / (n + 1 - m), one cumulative product
+    over n for all m.  Returns the first ``order`` coefficients of each
+    function (one per column) and each function's tail fraction.
     """
     extended = order + _EXTENSION
-    alpha = np.zeros(extended, dtype=complex)
-    for term in f.terms:
-        c = term.rate
-        for m, pm in enumerate(term.coeffs):
-            if pm == 0:
-                continue
-            t = pm * _sqrt_factorial(m)
-            for n in range(m, extended):
-                alpha[n] += t
-                t *= c * math.sqrt(n + 1) / (n + 1 - m)
-    head = float(np.sum(np.abs(alpha[:order]) ** 2))
-    tail = float(np.sum(np.abs(alpha[order:]) ** 2))
+    alpha = np.zeros((extended, width), dtype=complex)
+    ratio = np.zeros(width)
+    n = np.arange(extended)[:, None]
+    for rate, raw in terms:
+        m = np.arange(raw.shape[0])
+        gap = n - m
+        steps = np.where(gap > 0, rate * np.sqrt(n) / np.maximum(gap, 1), 1.0)
+        kernel = np.tril(np.cumprod(steps, axis=0))
+        root_factorials = np.exp(0.5 * np.array([math.lgamma(k + 1) for k in m]))
+        alpha += kernel @ (raw * root_factorials[:, None])
+        # the ratio of consecutive terms at the window's edge, for the
+        # highest power with a nonzero coefficient in each function
+        nonzero = raw != 0
+        degree = raw.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)
+        edge = abs(rate) * math.sqrt(extended + 1) / (extended + 1 - degree)
+        ratio = np.where(nonzero.any(axis=0), np.maximum(ratio, edge), ratio)
+    mass = np.abs(alpha) ** 2
+    head = mass[:order].sum(axis=0)
+    tail = mass[order:].sum(axis=0)
     # geometric bound on the mass beyond the extension window; when the
     # coefficient ratio cannot certify decay yet, count the whole head as
     # uncertain so the tail check fails loudly instead of under-reporting
-    ratio = max(
-        (abs(t.rate) * math.sqrt(extended + 1) / (extended + 1 - t.degree) for t in f.terms),
-        default=0.0,
-    )
-    if 0.0 < ratio < 0.9:
-        tail += abs(alpha[-1]) ** 2 * ratio**2 / (1.0 - ratio**2)
-    elif ratio >= 0.9:
-        tail = max(tail, head)
+    decaying = np.where((ratio > 0.0) & (ratio < 0.9), ratio**2, 0.0)
+    tail = tail + mass[-1] * decaying / (1.0 - decaying)
+    tail = np.where(ratio >= 0.9, np.maximum(tail, head), tail)
     total = head + tail
-    fraction = math.sqrt(tail / total) if total > 0 else 0.0
+    fraction = np.sqrt(np.divide(tail, total, out=np.zeros(width), where=total > 0))
     return alpha[:order], fraction
+
+
+def _basis_coefficients(f: EntireFunction, order: int) -> tuple[np.ndarray, float]:
+    """First ``order`` normalized-basis coefficients of f, plus the tail fraction."""
+    terms = [(t.rate, np.array(t.coeffs)[:, None]) for t in f.terms]
+    alpha, fraction = _normalized_coefficients(terms, order, 1)
+    return alpha[:, 0], float(fraction[0])
+
+
+def _column_powers(phi: AffineMap, order: int) -> np.ndarray:
+    """Raw coefficients of (a z + b)^j / sqrt(j!) in column j, by Pascal's rule."""
+    powers = np.zeros((order, order), dtype=complex)
+    powers[0, 0] = 1.0
+    for j in range(1, order):
+        powers[:j + 1, j] = phi.b * powers[:j + 1, j - 1]
+        powers[1:j + 1, j] += phi.a * powers[:j, j - 1]
+        powers[:j + 1, j] /= math.sqrt(j)
+    return powers
 
 
 def f2_matrix(op: WeightedCompositionOperator, order: int = 64,
               check_tail: bool = True) -> TruncatedMatrix:
     """Exact truncated matrix of the operator on the Hilbert Fock space.
 
-    Meaningful as a norm bracket only for p = q = 2.  Raises TailLoss when a
-    column loses more than 1e-6 of its norm to truncation (disable via
-    ``check_tail`` to inspect deliberately lossy truncations, e.g. for
+    Column j is the image psi(z) (a z + b)^j / sqrt(j!) of the j-th basis
+    vector; all columns go through one coefficient transform per weight
+    term.  Meaningful as a norm bracket only for p = q = 2.  Raises TailLoss
+    when a column loses more than 1e-6 of its norm to truncation (disable
+    via ``check_tail`` to inspect deliberately lossy truncations, e.g. for
     witnessing unbounded operators).
     """
     if order < 8:
         raise ValueError("matrix order must be at least 8")
-    columns = []
-    tails = []
-    for j in range(order):
-        image = op.apply(symbols.monomial(j, 1.0 / _sqrt_factorial(j)))
-        alpha, fraction = _basis_coefficients(image, order)
-        columns.append(alpha)
-        tails.append(fraction)
-    matrix = TruncatedMatrix(order, np.column_stack(columns), tuple(tails))
+    powers = _column_powers(op.phi, order)
+    terms = []
+    for t in op.psi.terms:
+        raw = np.zeros((order + t.degree, order), dtype=complex)
+        for i, coefficient in enumerate(t.coeffs):
+            raw[i:i + order] += coefficient * powers
+        terms.append((t.rate, raw))
+    entries, fractions = _normalized_coefficients(terms, order, order)
+    tails = tuple(fractions.tolist())
+    matrix = TruncatedMatrix(order, entries, tails)
     if check_tail and max(tails) > _TAIL_FRACTION:
         raise TailLoss(
             f"column tail fraction {max(tails):g} exceeds {_TAIL_FRACTION:g} at order {order}"
@@ -145,47 +172,18 @@ def f2_matrix(op: WeightedCompositionOperator, order: int = 64,
     return matrix
 
 
-def matrix_sigma_max(matrix: TruncatedMatrix | np.ndarray, tol: float = 1e-12,
-                     max_iterations: int = 5000) -> float:
-    """Largest singular value by power iteration on M* M.
+def matrix_sigma_max(matrix: TruncatedMatrix | np.ndarray) -> float:
+    """Largest singular value, from LAPACK's SVD.
 
-    The deterministic start vector is first concentrated on the top
-    eigenspace by repeated squaring of the (scaled) Gram matrix; without
-    this, spectra that accumulate at the top, such as differences of
-    near-isometries, make plain power steps crawl.  The Rayleigh value rises
-    monotonically, so the result is always a lower bound of the true sigma.
+    A truncated matrix is the compression P_N W P_N of the operator to the
+    first N basis vectors, so its sigma is a lower bound of the operator norm
+    (of the difference's norm, for a difference of two truncations) that
+    cannot decrease as N grows.
     """
     m = matrix.entries if isinstance(matrix, TruncatedMatrix) else np.asarray(matrix)
-    n = m.shape[1]
-    gram = m.conj().T @ m
-    peak = float(np.max(np.abs(gram)))
-    if peak == 0.0:
-        return 0.0
-
-    # 2^40 amplification separates eigenvalue clusters down to ~1e-12 of the top
-    concentrated = gram / peak
-    for _ in range(40):
-        concentrated = concentrated @ concentrated
-        top = float(np.max(np.abs(concentrated)))
-        if top == 0.0 or not np.isfinite(top):
-            break
-        concentrated = concentrated / top
-    x = concentrated @ np.ones(n)
-    scale = float(np.linalg.norm(x))
-    x = x / scale if scale > 0 and np.isfinite(scale) else np.ones(n) / math.sqrt(n)
-
-    last = -1.0
-    for _ in range(max_iterations):
-        y = gram @ x
-        lam = float(np.real(np.vdot(x, y)))
-        scale = float(np.linalg.norm(y))
-        if scale == 0.0:
-            return 0.0
-        x = y / scale
-        if abs(lam - last) <= tol * max(1.0, abs(lam)):
-            return math.sqrt(max(lam, 0.0))
-        last = lam
-    raise NonConvergence(f"power iteration did not converge in {max_iterations} iterations")
+    if not np.isfinite(m).all():
+        raise NumericFailure("matrix entries are not finite")
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)

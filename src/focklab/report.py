@@ -109,8 +109,8 @@ def _complex(z: complex | None) -> Any:
     return {"re": z.real, "im": z.imag}
 
 
-def _operator(options: dict[str, Any], config: RunConfig,
-              psi_key: str = "psi", phi_key: str = "phi") -> WeightedCompositionOperator:
+def _operator(options: dict[str, Any], psi_key: str = "psi",
+              phi_key: str = "phi") -> WeightedCompositionOperator:
     psi = parse_symbol(options[psi_key])
     phi = parse_affine(options[phi_key])
     return WeightedCompositionOperator(psi, phi, float(options["p"]), float(options["q"]))
@@ -135,7 +135,7 @@ def _handle_norm(options, config: RunConfig) -> Report:
 
 
 def _handle_classify(options, config: RunConfig) -> Report:
-    op = _operator(options, config)
+    op = _operator(options)
     c = classify(op, config.quadrature, FamilySpec(kernel_radius=config.grid_radius))
     results = {
         "verdict": c.verdict.value,
@@ -156,7 +156,7 @@ def _handle_classify(options, config: RunConfig) -> Report:
 
 
 def _handle_opnorm(options, config: RunConfig) -> Report:
-    op = _operator(options, config)
+    op = _operator(options)
     order = int(options.get("matrix_order") or config.matrix_order)
     family = FamilySpec(kernel_radius=config.grid_radius)
     c = classify(op, config.quadrature, family)
@@ -185,7 +185,7 @@ def _handle_opnorm(options, config: RunConfig) -> Report:
 
 
 def _handle_essnorm(options, config: RunConfig) -> Report:
-    op = _operator(options, config)
+    op = _operator(options)
     lo, hi = essential_norm_bracket(op)
     rules = [RULE_ESS_BRACKET]
     if op.phi.is_unit_modulus:
@@ -200,8 +200,8 @@ def _handle_essnorm(options, config: RunConfig) -> Report:
 
 
 def _handle_diff(options, config: RunConfig) -> Report:
-    first = _operator(options, config, "psi1", "phi1")
-    second = _operator(options, config, "psi2", "phi2")
+    first = _operator(options, "psi1", "phi1")
+    second = _operator(options, "psi2", "phi2")
     verdict = compact_difference(first, second)
     if verdict.reason is DifferenceReason.BOTH_COMPACT:
         rules = (RULE_DIFF_BOTH_COMPACT,)
@@ -220,7 +220,7 @@ def _handle_diff(options, config: RunConfig) -> Report:
 
 
 def _handle_component(options, config: RunConfig) -> Report:
-    op = _operator(options, config)
+    op = _operator(options)
     cid = component_id(op)
     rule = RULE_FULL_CONNECTED if cid.kind is ComponentKind.ALL_CONNECTED else RULE_COMPONENTS
     return Report(
@@ -247,7 +247,7 @@ def _handle_isolated(options, config: RunConfig) -> Report:
 
 def _handle_path(options, config: RunConfig) -> Report:
     kind = options["kind"]
-    steps = int(options.get("steps") or 8)
+    steps = int(options.get("steps", 8))
     kwargs: dict[str, Any] = {
         "steps": steps,
         "p": float(options["p"]),
@@ -256,23 +256,21 @@ def _handle_path(options, config: RunConfig) -> Report:
         "matrix_order": config.matrix_order,
     }
     inputs: dict[str, Any] = {"kind": kind, "steps": steps, "p": kwargs["p"], "q": kwargs["q"]}
-    if kind == "dilate":
-        phi = parse_affine(options["phi"])
-        kwargs["phi"] = phi
-        inputs["phi"] = {"a": _complex(phi.a), "b": _complex(phi.b)}
-    elif kind == "translate":
-        b1 = options["b1"] if isinstance(options["b1"], complex) else parse_complex(str(options["b1"]))
-        b2 = options["b2"] if isinstance(options["b2"], complex) else parse_complex(str(options["b2"]))
-        kwargs["b1"], kwargs["b2"] = b1, b2
-        inputs["b1"], inputs["b2"] = _complex(b1), _complex(b2)
-    else:
-        phi = parse_affine(options["phi"])
-        kwargs["phi"] = phi
-        kwargs["psi1"] = parse_symbol(options["psi1"])
-        kwargs["psi2"] = parse_symbol(options["psi2"])
-        inputs["phi"] = {"a": _complex(phi.a), "b": _complex(phi.b)}
-        inputs["psi1"] = render(kwargs["psi1"])
-        inputs["psi2"] = render(kwargs["psi2"])
+    # a missing endpoint reaches path_profile as None, which rejects it
+    if kind == "translate":
+        for key in ("b1", "b2"):
+            if key in options:
+                value = options[key]
+                kwargs[key] = value if isinstance(value, complex) else parse_complex(str(value))
+                inputs[key] = _complex(kwargs[key])
+    elif "phi" in options:
+        kwargs["phi"] = parse_affine(options["phi"])
+        inputs["phi"] = {"a": _complex(kwargs["phi"].a), "b": _complex(kwargs["phi"].b)}
+    if kind == "weight":
+        for key in ("psi1", "psi2"):
+            if key in options:
+                kwargs[key] = parse_symbol(options[key])
+                inputs[key] = render(kwargs[key])
     profile = path_profile(kind, **kwargs)
     return Report(
         "path",

@@ -195,19 +195,6 @@ class PathKind(str, Enum):
     WEIGHT = "weight"
 
 
-def _operator_distance(first: WeightedCompositionOperator,
-                       second: WeightedCompositionOperator,
-                       family: FamilySpec | None,
-                       spec: QuadratureSpec,
-                       matrix_order: int) -> float:
-    # Hilbert-Hilbert case: truncated-matrix sigma is the sharper witness
-    if first.p == 2.0 and first.q == 2.0:
-        a = f2_matrix(first, matrix_order, check_tail=False)
-        b = f2_matrix(second, matrix_order, check_tail=False)
-        return matrix_sigma_max(a.entries - b.entries)
-    return empirical_distance(first, second, family, spec)
-
-
 def _needs_detour(lam: complex | None, tol: float = 1e-9) -> bool:
     # proportional weights with ratio lam forbid the blend 1/(1-lam); the
     # straight segment [0, 1] only needs rerouting when it hits that point
@@ -243,13 +230,13 @@ def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
     """
     kind = PathKind(kind)
     if steps < 1:
-        raise ValueError("steps must be positive")
+        raise HypothesisViolated("steps must be positive")
     spec = spec or DEFAULT_SPEC
     ts = [i / steps for i in range(steps + 1)]
 
     if kind is PathKind.DILATE:
         if phi is None:
-            raise ValueError("dilate path needs the map phi")
+            raise HypothesisViolated("the dilate path needs the map phi")
         base = composition_operator(phi, p, q)
         if decide(base).verdict is not Verdict.COMPACT:
             raise HypothesisViolated("the dilation path starts from a compact composition operator")
@@ -258,11 +245,11 @@ def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
                for t in ts]
     elif kind is PathKind.TRANSLATE:
         if b1 is None or b2 is None:
-            raise ValueError("translate path needs the endpoint constants b1 and b2")
+            raise HypothesisViolated("the translate path needs the endpoint constants b1 and b2")
         ops = [composition_operator(AffineMap(0.0, (1 - t) * b1 + t * b2), p, q) for t in ts]
     else:
         if phi is None or psi1 is None or psi2 is None:
-            raise ValueError("weight path needs phi and both weights")
+            raise HypothesisViolated("the weight path needs phi and both weights psi1 and psi2")
         lam = symbols.proportionality_ratio(psi1, psi2)
         if _needs_detour(lam):
             alpha = [t + 0.5j * math.sin(math.pi * t) for t in ts]
@@ -273,8 +260,11 @@ def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
             u = symbols.add(symbols.scale(psi1, 1.0 - a_t), symbols.scale(psi2, a_t))
             ops.append(WeightedCompositionOperator(u, phi, p, q))
 
-    profile = []
-    for i in range(1, len(ops)):
-        d = _operator_distance(ops[i - 1], ops[i], family, spec, matrix_order)
-        profile.append((ts[i], d))
-    return profile
+    if p == 2.0 and q == 2.0:
+        # Hilbert-Hilbert case: truncated-matrix sigma is the sharper witness;
+        # each step's matrix is built once and serves both of its increments
+        matrices = [f2_matrix(op, matrix_order, check_tail=False).entries for op in ops]
+        distances = [matrix_sigma_max(a - b) for a, b in zip(matrices, matrices[1:])]
+    else:
+        distances = [empirical_distance(a, b, family, spec) for a, b in zip(ops, ops[1:])]
+    return list(zip(ts[1:], distances))

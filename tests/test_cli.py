@@ -75,6 +75,20 @@ def test_cli_exit_codes(capsys):
     assert main(["norm", "--symbol", "exp(4*z)", "--p", "2", "--max-radius", "6"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["opnorm", "--psi", "1", "--phi", "0.5,0", "--p", "2", "--q", "2", "--matrix-order", "2"],
+    ["path", "--kind", "weight", "--psi1", "1", "--psi2", "z", "--p", "2", "--q", "2"],
+    ["path", "--kind", "weight", "--phi", "0.5,0", "--psi1", "1", "--p", "2", "--q", "2"],
+    ["path", "--kind", "translate", "--b1", "0", "--p", "2", "--q", "2"],
+    ["path", "--kind", "dilate", "--p", "2", "--q", "2"],
+    ["path", "--kind", "translate", "--b1", "0", "--b2", "1", "--steps", "0", "--p", "2", "--q", "2"],
+])
+def test_cli_invalid_matrix_and_path_inputs_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_csv_output(capsys):
     code = main(["profile-m", "--psi", "1", "--phi", "0.5,0", "--radii", "2,4",
                  "--format", "csv"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from focklab import symbols as sy
-from focklab.errors import TailLoss, ZeroSymbol
+from focklab.errors import NumericFailure, TailLoss, ZeroSymbol
 from focklab.fock import kernel
 from focklab.operators import (
     FamilySpec,
@@ -80,6 +80,24 @@ def test_f2_matrix_diagonal_and_identity():
     assert np.allclose(ident.entries, np.eye(16), atol=1e-14)
 
 
+@pytest.mark.parametrize("a, b, entry, value", [
+    (0.8, 0.6, (60, 61), 7.2e-6),
+    (0.6, 0.5, (50, 50), 8.1e-12),
+])
+def test_f2_matrix_keeps_top_degree_entries(a, b, entry, value):
+    # psi = 1: entry (n, j) is C(j, n) a^n b^(j-n) sqrt(n!/j!); the top-degree
+    # entries are tiny in the raw coefficients of (az + b)^j but not here
+    order = 64
+    matrix = f2_matrix(composition_operator(AffineMap(a, b), 2.0, 2.0), order, check_tail=False)
+    want = np.zeros((order, order))
+    for j in range(order):
+        for n in range(j + 1):
+            scale = math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(j + 1)))
+            want[n, j] = math.comb(j, n) * a**n * b ** (j - n) * scale
+    assert np.all(np.abs(matrix.entries - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+    assert math.isclose(matrix.entries[entry].real, value, rel_tol=0.01)
+
+
 def test_f2_matrix_weighted_shift_and_tail_loss():
     shift_op = WeightedCompositionOperator(sy.variable(), IDENTITY, 2.0, 2.0)
     with pytest.raises(TailLoss):
@@ -97,6 +115,8 @@ def test_sigma_max_oracles():
     diag = f2_matrix(composition_operator(AffineMap(a, 0.0), 2.0, 2.0), 64)
     assert abs(matrix_sigma_max(diag) - 1.0) < 1e-10
     assert matrix_sigma_max(np.zeros((4, 4))) == 0.0
+    with pytest.raises(NumericFailure):
+        matrix_sigma_max(np.array([[1.0, 0.0], [0.0, np.inf]]))
 
 
 def test_sigma_nondecreasing_in_order(rng):

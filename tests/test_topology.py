@@ -5,9 +5,15 @@ import math
 import pytest
 
 from focklab import symbols as sy
+from focklab import topology
 from focklab.criteria import classify
 from focklab.errors import HypothesisViolated, NotBounded
-from focklab.operators import FamilySpec, WeightedCompositionOperator, composition_operator
+from focklab.operators import (
+    FamilySpec,
+    WeightedCompositionOperator,
+    composition_operator,
+    f2_matrix,
+)
 from focklab.quadrature import CHECK_SPEC, polar_grid
 from focklab.sampling import random_bounded_operator, unit_leaf_weight
 from focklab.symbols import AffineMap, IDENTITY
@@ -133,6 +139,21 @@ def test_dilate_path_profile():
         assert math.isclose(d, 0.125, rel_tol=1e-6)
     with pytest.raises(HypothesisViolated):
         path_profile("dilate", steps=2, p=2.0, q=2.0, phi=AffineMap(UNIT, 0.0))
+
+
+def test_path_profile_builds_each_step_matrix_once(monkeypatch):
+    built = []
+
+    def counting_f2_matrix(op, *args, **kwargs):
+        built.append(op.phi)
+        return f2_matrix(op, *args, **kwargs)
+
+    monkeypatch.setattr(topology, "f2_matrix", counting_f2_matrix)
+    steps = 3
+    profile = path_profile("translate", steps=steps, p=2.0, q=2.0, b1=0.0, b2=0.6,
+                           matrix_order=16)
+    assert len(profile) == steps
+    assert len(built) == steps + 1
 
 
 def test_weight_path_is_linear_in_alpha():
