@@ -14,15 +14,19 @@ from .errors import FocklabError
 from .quadrature import QuadratureSpec
 from .report import Report, run
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--abs-tol", type=float, default=1e-10)
-    parser.add_argument("--rel-tol", type=float, default=1e-8)
-    parser.add_argument("--max-radius", type=float, default=40.0)
-    parser.add_argument("--grid-radius", type=float, default=6.0)
-    parser.add_argument("--matrix-order", type=int, default=64)
+# the settings each handler reads, by subcommand; an unset one keeps the
+# default of QuadratureSpec or RunConfig
+_QUADRATURE = ("abs_tol", "rel_tol", "max_radius")
+_RUN = ("matrix_order", "grid_radius", "seed")
+_TYPES = {"matrix_order": int, "seed": int}
+_SETTINGS = {
+    "norm": _QUADRATURE,
+    "classify": _QUADRATURE + ("grid_radius",),
+    "opnorm": _QUADRATURE + ("grid_radius", "matrix_order"),
+    "path": _QUADRATURE + ("matrix_order",),
+    "verify": ("seed",),
+}
+_TABULAR = ("path", "profile-m")
 
 
 def _add_operator_args(parser: argparse.ArgumentParser) -> None:
@@ -42,12 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="Fock norm of a symbol")
     p_norm.add_argument("--symbol", required=True)
     p_norm.add_argument("--p", type=float, required=True)
-    _add_common(p_norm)
 
     for name in ("classify", "opnorm", "essnorm", "component"):
-        sp = sub.add_parser(name)
-        _add_operator_args(sp)
-        _add_common(sp)
+        _add_operator_args(sub.add_parser(name))
 
     p_diff = sub.add_parser("diff", help="compactness of the difference of two operators")
     p_diff.add_argument("--psi1", required=True)
@@ -56,17 +57,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument("--phi2", required=True)
     p_diff.add_argument("--p", type=float, required=True)
     p_diff.add_argument("--q", type=float, required=True)
-    _add_common(p_diff)
 
     p_iso = sub.add_parser("isolated", help="isolation of a composition operator")
     p_iso.add_argument("--phi", required=True)
     p_iso.add_argument("--p", type=float, required=True)
     p_iso.add_argument("--q", type=float, required=True)
-    _add_common(p_iso)
 
     p_path = sub.add_parser("path", help="increment profile along a connecting path")
     p_path.add_argument("--kind", choices=("dilate", "translate", "weight"), required=True)
-    p_path.add_argument("--steps", type=int, default=8)
+    p_path.add_argument("--steps", type=int)
     p_path.add_argument("--phi")
     p_path.add_argument("--psi1")
     p_path.add_argument("--psi2")
@@ -74,18 +73,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_path.add_argument("--b2")
     p_path.add_argument("--p", type=float, required=True)
     p_path.add_argument("--q", type=float, required=True)
-    _add_common(p_path)
 
     p_prof = sub.add_parser("profile-m", help="annulus suprema of the gauge")
     p_prof.add_argument("--psi", required=True)
     p_prof.add_argument("--phi", required=True)
-    p_prof.add_argument("--radii", default="2,4,8,16,32,64,128,256,512,1024")
-    _add_common(p_prof)
+    p_prof.add_argument("--radii", help="comma-separated radii (default 2,4,...,1024)")
 
     p_verify = sub.add_parser("verify", help="run the acceptance check suite")
     p_verify.add_argument("--fast", action="store_true", help="reduced sample counts")
-    _add_common(p_verify)
 
+    for name, sp in sub.choices.items():
+        for key in _SETTINGS.get(name, ()):
+            sp.add_argument("--" + key.replace("_", "-"), type=_TYPES.get(key, float))
+        formats = ("json", "csv", "text") if name in _TABULAR else ("json", "text")
+        sp.add_argument("--format", choices=formats, default="json")
     return parser
 
 
@@ -104,16 +105,8 @@ def main(argv: list[str] | None = None) -> int:
     command = options.pop("command")
     fmt = options.pop("format")
     try:
-        config = RunConfig(
-            quadrature=QuadratureSpec(
-                abs_tol=options.pop("abs_tol"),
-                rel_tol=options.pop("rel_tol"),
-                max_radius=options.pop("max_radius"),
-            ),
-            matrix_order=options.pop("matrix_order", 64),
-            grid_radius=options.pop("grid_radius", 6.0),
-            seed=options.pop("seed", 0),
-        )
+        quadrature = QuadratureSpec(**{k: options.pop(k) for k in _QUADRATURE if k in options})
+        config = RunConfig(quadrature, **{k: options.pop(k) for k in _RUN if k in options})
         report = run(command, options, config)
     except FocklabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -51,6 +51,7 @@ from .quadrature import (
 from .symbols import AffineMap, EntireFunction
 
 ANNULUS_RADII = tuple(float(2**k) for k in range(1, 11))
+_ANNULUS_ANGLES = 512
 
 RULE_RANK_ONE = "rank-one-compact"
 RULE_SUP_BOUNDED = "sup-gauge-boundedness"
@@ -122,8 +123,8 @@ def gauge_profile(psi: EntireFunction, phi: AffineMap) -> GaugeProfile:
     return GaugeProfile(_safe_exp(best), 0.0, True)
 
 
-def _annulus_sup(psi: EntireFunction, phi: AffineMap, radius: float, n_angles: int = 512) -> float:
-    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
+def _annulus_sup(psi: EntireFunction, phi: AffineMap, radius: float) -> float:
+    angles = 2.0 * math.pi * np.arange(_ANNULUS_ANGLES) / _ANNULUS_ANGLES
     zs = radius * np.exp(1j * angles)
     a, b = phi.a, phi.b
     logs = (
@@ -133,7 +134,7 @@ def _annulus_sup(psi: EntireFunction, phi: AffineMap, radius: float, n_angles: i
     k = int(np.argmax(logs))
     best = float(logs[k])
     # one-dimensional refinement around the best angle
-    theta, h = float(angles[k]), math.pi / n_angles
+    theta, h = float(angles[k]), math.pi / _ANNULUS_ANGLES
     while h > 1e-10:
         moved = False
         for dt in (h, -h):

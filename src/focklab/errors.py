@@ -21,6 +21,11 @@ class HypothesisViolated(FocklabError):
     exit_code = 2
 
 
+class Inadmissible(HypothesisViolated, ValueError):
+    """A value outside its admissible range: a Fock exponent, a map slope,
+    a non-finite coefficient or an engine tolerance."""
+
+
 class NotBounded(HypothesisViolated):
     """An operator required to be bounded is not."""
 

@@ -147,9 +147,9 @@ def gauge_peak(psi: EntireFunction, phi: symbols.AffineMap) -> tuple[complex, fl
     return maximize.maximize(lambda z: log_gauge_at(psi, phi, z), seeds)
 
 
-def default_bound_grid(radius: float = 6.0) -> np.ndarray:
+def default_bound_grid() -> np.ndarray:
     # the growth bounds are tightest at moderate |z|
-    return polar_grid(radius, 30, 16, include_origin=True)
+    return polar_grid(6.0, 30, 16, include_origin=True)
 
 
 @dataclass(frozen=True)

@@ -12,29 +12,29 @@ import math
 from typing import Callable, Iterable
 
 _MIN_STEP = 1e-9
+_FIRST_STEP = 0.5
+# bounds the walk so that an unbounded objective (fed in by mistake)
+# terminates at a large finite point instead of drifting forever
+_MAX_MOVES = 20000
+_SEED_ANGLES = 8
 
 
-def polar_seeds(radii: Iterable[float], n_angles: int = 8) -> list[complex]:
+def polar_seeds(radii: Iterable[float]) -> list[complex]:
     out = [0j]
     for r in radii:
-        for k in range(n_angles):
-            theta = 2.0 * math.pi * (k + 0.5) / n_angles
+        for k in range(_SEED_ANGLES):
+            theta = 2.0 * math.pi * (k + 0.5) / _SEED_ANGLES
             out.append(r * complex(math.cos(theta), math.sin(theta)))
     return out
 
 
-def ascend(objective: Callable[[complex], float], start: complex,
-           step: float = 0.5, max_moves: int = 20000) -> tuple[complex, float]:
-    """Greedy coordinate ascent with step halving from one seed.
-
-    ``max_moves`` bounds the walk so that an unbounded objective (fed in by
-    mistake) terminates at a large finite point instead of drifting forever.
-    """
+def ascend(objective: Callable[[complex], float], start: complex) -> tuple[complex, float]:
+    """Greedy coordinate ascent with step halving from one seed."""
     z = complex(start)
     value = objective(z)
-    h = step
+    h = _FIRST_STEP
     moves = 0
-    while h > _MIN_STEP and moves < max_moves:
+    while h > _MIN_STEP and moves < _MAX_MOVES:
         moved = False
         for dz in (h, -h, 1j * h, -1j * h):
             candidate = z + dz
@@ -48,12 +48,12 @@ def ascend(objective: Callable[[complex], float], start: complex,
     return z, value
 
 
-def maximize(objective: Callable[[complex], float], seeds: Iterable[complex],
-             step: float = 0.5) -> tuple[complex, float]:
+def maximize(objective: Callable[[complex], float],
+             seeds: Iterable[complex]) -> tuple[complex, float]:
     """Best of coordinate ascents from every seed; value may be -inf if all seeds are."""
     best_z, best_v = 0j, -math.inf
     for seed in seeds:
-        z, v = ascend(objective, seed, step=step)
+        z, v = ascend(objective, seed)
         if v > best_v:
             best_z, best_v = z, v
     return best_z, best_v

@@ -48,10 +48,6 @@ class WeightedCompositionOperator:
     def apply(self, f: EntireFunction) -> EntireFunction:
         return symbols.mul(self.psi, symbols.compose_affine(f, self.phi))
 
-    @property
-    def is_composition(self) -> bool:
-        return symbols.constant_value(self.psi) == 1
-
 
 def composition_operator(phi: AffineMap, p: float, q: float) -> WeightedCompositionOperator:
     return WeightedCompositionOperator(symbols.ONE, phi, p, q)

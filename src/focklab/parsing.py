@@ -13,6 +13,7 @@ to the identical function.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
 
@@ -29,6 +30,9 @@ _TOKEN = re.compile(
 )
 
 _MAX_POWER = 64
+# parentheses, exp( and unary signs nest by recursion; the bound keeps the
+# recursion far inside the interpreter's stack limit
+_MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,11 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {stripped[0]!r}", offending)
         if m.group("number"):
             raw = m.group("number")
-            if raw.endswith("i"):
-                tokens.append(_Token("imag", raw, m.start(), float(raw[:-1])))
-            else:
-                tokens.append(_Token("number", raw, m.start(), float(raw)))
+            imag = raw.endswith("i")
+            value = float(raw[:-1] if imag else raw)
+            if not math.isfinite(value):
+                raise ParseError(f"literal {raw!r} is not a finite number", m.start("number"))
+            tokens.append(_Token("imag" if imag else "number", raw, m.start(), value))
         elif m.group("name"):
             name = m.group("name")
             if name == "i":
@@ -74,6 +79,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -118,11 +124,18 @@ class _Parser:
         return value
 
     def unary(self) -> EntireFunction:
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"expression nests deeper than {_MAX_NESTING} levels",
+                             self.peek().position)
         if self.peek().kind == "op" and self.peek().text in "+-":
             op = self.take().text
             value = self.unary()
-            return symbols.negate(value) if op == "-" else value
-        return self.power()
+            value = symbols.negate(value) if op == "-" else value
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self) -> EntireFunction:
         base = self.atom()
@@ -169,7 +182,11 @@ def _exp_of(arg: EntireFunction, position: int) -> EntireFunction:
         coeffs = arg.terms[0].coeffs
         shift = coeffs[0]
         rate = coeffs[1] if len(coeffs) > 1 else 0j
-        return symbols.exp_term(rate, cmath.exp(shift))
+        try:
+            factor = cmath.exp(shift)
+        except OverflowError:
+            raise ParseError("exp of the argument's constant part overflows", position) from None
+        return symbols.exp_term(rate, factor)
     raise ParseError("argument of exp must be a polynomial of degree at most one", position)
 
 
@@ -194,6 +211,17 @@ def parse_affine(text: str) -> symbols.AffineMap:
     if len(parts) != 2:
         raise ParseError("affine map must be written as 'a,b'", 0)
     return symbols.AffineMap(parse_complex(parts[0]), parse_complex(parts[1]))
+
+
+def parse_radii(text: str) -> tuple[float, ...]:
+    """Comma-separated radii, each a finite nonnegative real, e.g. ``2,4,8``."""
+    try:
+        radii = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        radii = (math.nan,)
+    if not all(0.0 <= r < math.inf for r in radii):
+        raise ParseError(f"radii {text!r} are not finite nonnegative numbers", 0)
+    return radii
 
 
 def _format_real(x: float) -> str:

@@ -22,17 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import TailNotDominated, ToleranceNotMet
+from .errors import Inadmissible, TailNotDominated, ToleranceNotMet
 
 _MAX_SPLITS = 4000
 _MAX_DEPTH = 48
 _MAX_ANGULAR_MULT = 64
 _ANGULAR_CAP = 1 << 14
+_ANGULAR_MIN_NODES = 64
+# Gauss-Legendre rule of each radial panel
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 @dataclass(frozen=True)
@@ -42,16 +44,12 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_radius: float = 40.0
-    radial_panel_order: int = 32
-    angular_min_nodes: int = 64
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_radius <= 0:
-            raise ValueError("max_radius must be positive")
-        if self.radial_panel_order < 4 or self.angular_min_nodes < 4:
-            raise ValueError("orders must be at least 4")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise Inadmissible("tolerances must be positive and finite")
+        if not 0 < self.max_radius < math.inf:
+            raise Inadmissible("max_radius must be positive and finite")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -91,12 +89,6 @@ class GrowthEnvelope:
                curvature: float = 0.0) -> "GrowthEnvelope":
         return GrowthEnvelope((EnvelopeTerm(amplitude, degree, rate, curvature),))
 
-    def bound(self, r: float) -> float:
-        return sum(
-            t.amplitude * (1.0 + r) ** t.degree * math.exp(min(t.rate * r + t.curvature * r * r, 700.0))
-            for t in self.terms
-        )
-
 
 @dataclass(frozen=True)
 class PolarIntegrand:
@@ -112,25 +104,19 @@ class PolarIntegrand:
     angular_rate: float = 0.0
 
 
-@lru_cache(maxsize=32)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
-
-
 def _tail_bound(envelope: GrowthEnvelope, s: float, radius: float) -> float:
     """Rigorous bound on the dA-integral of env(|z|) e^{-s|z|^2/2} beyond radius.
 
-    Valid when ``_tail_decaying`` holds at this radius.  Per term, completing
-    the square in K r - beta r^2 (beta = s/2 - C) gives
-       2 pi * (2 A / beta) e^{K^2/(2 beta)} (1+R)^d e^{-beta R^2 / 2}.
+    Per term, completing the square in K r - beta r^2 (beta = s/2 - C) gives
+       2 pi * (2 A / beta) e^{K^2/(2 beta)} (1+R)^d e^{-beta R^2 / 2},
+    valid once (1+r)^d r e^{-beta r^2 / 4} decreases beyond the radius;
+    before that the bound is inf.
     """
     total = 0.0
     for t in envelope.terms:
         beta = s / 2.0 - t.curvature
-        if beta <= 0:
-            raise TailNotDominated(
-                f"envelope curvature {t.curvature} does not decay against weight exponent {s}/2"
-            )
+        if t.degree / (1.0 + radius) + 1.0 / radius > beta * radius / 2.0:
+            return math.inf
         log_term = (
             math.log(2.0 * t.amplitude / beta)
             + t.rate**2 / (2.0 * beta)
@@ -141,28 +127,19 @@ def _tail_bound(envelope: GrowthEnvelope, s: float, radius: float) -> float:
     return 2.0 * math.pi * total
 
 
-def _tail_decaying(envelope: GrowthEnvelope, s: float, radius: float) -> bool:
-    # (1+r)^d r e^{-beta r^2 / 4} must be decreasing beyond the radius
-    for t in envelope.terms:
-        beta = s / 2.0 - t.curvature
-        if beta <= 0:
-            raise TailNotDominated(
-                f"envelope curvature {t.curvature} does not decay against weight exponent {s}/2"
-            )
-        if t.degree / (1.0 + radius) + 1.0 / radius > beta * radius / 2.0:
-            return False
-    return True
-
-
 def _choose_radius(envelope: GrowthEnvelope, s: float, prefactor: float,
                    spec: QuadratureSpec) -> tuple[float, float]:
     """Doubling search for the smallest radius whose tail bound is below abs_tol/2."""
+    for t in envelope.terms:
+        if s / 2.0 - t.curvature <= 0:
+            raise TailNotDominated(
+                f"envelope curvature {t.curvature} does not decay against weight exponent {s}/2"
+            )
     radius = 2.0
     while True:
-        if _tail_decaying(envelope, s, radius):
-            tail = prefactor * _tail_bound(envelope, s, radius)
-            if tail <= spec.abs_tol / 2.0:
-                return radius, tail
+        tail = prefactor * _tail_bound(envelope, s, radius)
+        if tail <= spec.abs_tol / 2.0:
+            return radius, tail
         if radius >= spec.max_radius:
             raise ToleranceNotMet(
                 f"tail bound not below {spec.abs_tol / 2:g} at max radius {spec.max_radius}"
@@ -170,13 +147,13 @@ def _choose_radius(envelope: GrowthEnvelope, s: float, prefactor: float,
         radius = min(radius * 2.0, spec.max_radius)
 
 
-def _angular_count(integrand: PolarIntegrand, r: float, mult: int, spec: QuadratureSpec) -> int:
+def _angular_count(integrand: PolarIntegrand, r: float, mult: int) -> int:
     # the periodic rule aliases frequencies >= n; the integrand's angular
     # spectrum dies superexponentially past degree + rate * r, so a factor of
     # three plus margin suffices a priori, with the nested coarse/fine
     # estimate escalating ``mult`` in the rare non-smooth cases
     n = max(
-        spec.angular_min_nodes,
+        _ANGULAR_MIN_NODES,
         int(math.ceil(8.0 * integrand.angular_degree + 3.0 * integrand.angular_rate * r)) + 16,
     )
     n = min(n * mult, _ANGULAR_CAP)
@@ -184,21 +161,19 @@ def _angular_count(integrand: PolarIntegrand, r: float, mult: int, spec: Quadrat
 
 
 class _RadialIntegrator:
-    def __init__(self, integrand: PolarIntegrand, s: float, mult: int, spec: QuadratureSpec):
+    def __init__(self, integrand: PolarIntegrand, s: float, mult: int):
         self.integrand = integrand
         self.s = s
         self.mult = mult
-        self.spec = spec
-        self.nodes, self.weights = _leggauss(spec.radial_panel_order)
         self.evals = 0
 
     def panel(self, r0: float, r1: float) -> tuple[float, float]:
         """(integral over [r0, r1], angular error estimate), both including dtheta."""
         self.evals += 1
         half = 0.5 * (r1 - r0)
-        r = r0 + half * (self.nodes + 1.0)
-        w = half * self.weights
-        n = _angular_count(self.integrand, r1, self.mult, self.spec)
+        r = r0 + half * (_NODES + 1.0)
+        w = half * _WEIGHTS
+        n = _angular_count(self.integrand, r1, self.mult)
         theta = 2.0 * np.pi * np.arange(n) / n
         zs = r[:, None] * np.exp(1j * theta)[None, :]
         logg = self.integrand.log_magnitude(zs)
@@ -212,16 +187,23 @@ class _RadialIntegrator:
 
 
 def _adaptive_radial(integrand: PolarIntegrand, s: float, radius: float, mult: int,
-                     spec: QuadratureSpec, budget: float) -> tuple[float, float, float, bool]:
+                     spec: QuadratureSpec, prefactor: float,
+                     budget: float | None) -> tuple[float, float, float, bool, float]:
     """Adaptive bisection on [0, radius] with per-panel accept/split control.
 
-    Returns (value, radial error, angular error, budget_exhausted).
+    A pass without a ``budget`` (the first one) takes the scale of its
+    relative-tolerance budget from the sum of its base panels.  Returns
+    (value, radial error, angular error, budget_exhausted, budget), all
+    without the prefactor.
     """
-    engine = _RadialIntegrator(integrand, s, mult, spec)
+    engine = _RadialIntegrator(integrand, s, mult)
     base = max(4, min(48, int(math.ceil(radius / 2.0))))
     edges = np.linspace(0.0, radius, base + 1)
     stack = [(edges[i], edges[i + 1], *engine.panel(edges[i], edges[i + 1]), 0)
              for i in range(base)]
+    if budget is None:
+        scale = prefactor * sum(panel[2] for panel in stack)
+        budget = max(spec.abs_tol, spec.rel_tol * abs(scale)) / 2.0 / prefactor
     value = 0.0
     radial_err = 0.0
     ang_err = 0.0
@@ -245,25 +227,17 @@ def _adaptive_radial(integrand: PolarIntegrand, s: float, radius: float, mult: i
         else:
             stack.append((r0, mid, left, ang_left, depth + 1))
             stack.append((mid, r1, right, ang_right, depth + 1))
-    return value, radial_err, ang_err, exhausted
+    return value, radial_err, ang_err, exhausted, budget
 
 
 def _integrate(integrand: PolarIntegrand, s: float, prefactor: float,
                spec: QuadratureSpec) -> IntegralResult:
     radius, tail = _choose_radius(integrand.envelope, s, prefactor, spec)
-
-    # pilot pass fixes the scale for the relative-tolerance budget
-    engine = _RadialIntegrator(integrand, s, 1, spec)
-    pilot = prefactor * sum(
-        engine.panel(r0, r1)[0]
-        for r0, r1 in zip(np.linspace(0, radius, 9)[:-1], np.linspace(0, radius, 9)[1:])
-    )
-    budget = max(spec.abs_tol, spec.rel_tol * abs(pilot)) / 2.0
-
+    budget = None
     mult = 1
     while True:
-        value, radial_err, ang_err, exhausted = _adaptive_radial(
-            integrand, s, radius, mult, spec, budget / prefactor
+        value, radial_err, ang_err, exhausted, budget = _adaptive_radial(
+            integrand, s, radius, mult, spec, prefactor, budget
         )
         value *= prefactor
         radial_err *= prefactor

@@ -16,6 +16,7 @@ from typing import Any, Callable
 
 from .config import RunConfig
 from .criteria import (
+    ANNULUS_RADII,
     RULE_EMPIRICAL_LOWER,
     RULE_ESS_BRACKET,
     RULE_ESS_UNIT,
@@ -32,7 +33,7 @@ from .operators import (
     f2_matrix,
     matrix_sigma_max,
 )
-from .parsing import parse_affine, parse_complex, parse_symbol, render
+from .parsing import parse_affine, parse_complex, parse_radii, parse_symbol, render
 from .topology import (
     RULE_COMPONENTS,
     RULE_DIFF_BOTH_COMPACT,
@@ -49,9 +50,6 @@ from .topology import (
 from .verification import run_all
 
 SCHEMA = "focklab.report/1"
-
-COMMANDS = ("norm", "classify", "opnorm", "essnorm", "diff", "component",
-            "isolated", "path", "profile-m", "verify")
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,6 @@ def _handle_classify(options, config: RunConfig) -> Report:
 
 def _handle_opnorm(options, config: RunConfig) -> Report:
     op = _operator(options)
-    order = int(options.get("matrix_order") or config.matrix_order)
     family = FamilySpec(kernel_radius=config.grid_radius)
     c = classify(op, config.quadrature, family)
     # for q < p classify's lower side already is this family's empirical norm
@@ -170,9 +167,9 @@ def _handle_opnorm(options, config: RunConfig) -> Report:
     }
     diagnostics: dict[str, Any] = {}
     if op.p == 2.0 and op.q == 2.0:
-        matrix = f2_matrix(op, order, check_tail=False)
+        matrix = f2_matrix(op, config.matrix_order, check_tail=False)
         results["matrix_sigma"] = ereal(matrix_sigma_max(matrix))
-        diagnostics["matrix_order"] = order
+        diagnostics["matrix_order"] = config.matrix_order
         diagnostics["max_column_tail_fraction"] = max(matrix.column_tail_fractions)
     return Report(
         "opnorm",
@@ -283,7 +280,7 @@ def _handle_path(options, config: RunConfig) -> Report:
 def _handle_profile_m(options, config: RunConfig) -> Report:
     psi = parse_symbol(options["psi"])
     phi = parse_affine(options["phi"])
-    radii = tuple(float(r) for r in str(options.get("radii") or "2,4,8,16,32,64,128,256,512,1024").split(","))
+    radii = parse_radii(options["radii"]) if "radii" in options else ANNULUS_RADII
     profile = gauge_profile(psi, phi)
     return Report(
         "profile-m",
@@ -326,5 +323,5 @@ _HANDLERS: dict[str, Callable[[dict[str, Any], RunConfig], Report]] = {
 def run(command: str, options: dict[str, Any], config: RunConfig | None = None) -> Report:
     """Execute one subcommand; deterministic given options and config.seed."""
     if command not in _HANDLERS:
-        raise ValueError(f"unknown command {command!r}; expected one of {COMMANDS}")
+        raise ValueError(f"unknown command {command!r}; expected one of {tuple(_HANDLERS)}")
     return _HANDLERS[command](options, config or RunConfig())

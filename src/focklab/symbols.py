@@ -22,6 +22,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import Inadmissible
+
 TOL_SYM = 1e-12
 
 _LOG_OVERFLOW = 709.0
@@ -30,7 +32,7 @@ _LOG_OVERFLOW = 709.0
 def _check_finite(w: complex, what: str) -> complex:
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise ValueError(f"{what} must have finite real and imaginary parts, got {w!r}")
+        raise Inadmissible(f"{what} must have finite real and imaginary parts, got {w!r}")
     return w
 
 
@@ -338,7 +340,7 @@ class AffineMap:
         object.__setattr__(self, "a", _check_finite(self.a, "a"))
         object.__setattr__(self, "b", _check_finite(self.b, "b"))
         if abs(self.a) > 1.0 + TOL_SYM:
-            raise ValueError(f"affine symbol needs |a| <= 1, got |a| = {abs(self.a)}")
+            raise Inadmissible(f"affine symbol needs |a| <= 1, got |a| = {abs(self.a)}")
 
     def __call__(self, z: complex) -> complex:
         return self.a * complex(z) + self.b
@@ -366,5 +368,5 @@ def validate_fock_index(p: float) -> float:
     """Exponent of a Fock space: a finite positive real."""
     p = float(p)
     if not math.isfinite(p) or p <= 0:
-        raise ValueError(f"Fock exponent must be finite and positive, got {p}")
+        raise Inadmissible(f"Fock exponent must be finite and positive, got {p}")
     return p

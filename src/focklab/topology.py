@@ -25,7 +25,6 @@ from .criteria import Verdict, decide, dilation_compose
 from .errors import HypothesisViolated, NotBounded
 from .fock import fock_norm, kernel
 from .operators import (
-    FamilySpec,
     WeightedCompositionOperator,
     composition_operator,
     empirical_distance,
@@ -40,7 +39,8 @@ RULE_DIFF_SAME_MAP = "difference-same-map-vanishing-gauge"
 RULE_COMPONENTS = "component-decomposition"
 RULE_FULL_CONNECTED = "full-connectivity-large-to-small"
 RULE_ISOLATION = "noncompact-isolation"
-RULE_SEPARATION = "unit-separation"
+
+_DETOUR_TOL = 1e-9
 
 
 class DifferenceReason(str, Enum):
@@ -162,14 +162,13 @@ def is_isolated(phi: AffineMap, p: float, q: float) -> bool:
 
 def distance_lower_bound(phi: AffineMap, other: AffineMap, p: float, q: float,
                          w_grid: Sequence[complex] | None = None,
-                         spec: QuadratureSpec | None = None,
-                         grid_radius: float = 6.0) -> float:
+                         spec: QuadratureSpec | None = None) -> float:
     """Certified lower bound on ||C_phi - C_other|| from kernel witnesses.
 
     sup over the grid of ||(C_phi - C_other) k_w||_q; since every kernel has
     unit norm, each value already bounds the operator distance from below.
     For distinct bounded composition symbols the bound approaches at least 1
-    as the grid radius grows.
+    as the grid radius grows; the default grid reaches |w| = 6.
     """
     if phi.isclose(other):
         raise ValueError("maps coincide; the distance question is about distinct symbols")
@@ -178,7 +177,7 @@ def distance_lower_bound(phi: AffineMap, other: AffineMap, p: float, q: float,
         if decide(composition_operator(candidate, p, q)).verdict is Verdict.UNBOUNDED:
             raise NotBounded("both composition operators must be bounded")
     if w_grid is None:
-        w_grid = polar_grid(grid_radius, 12, 16, include_origin=True)
+        w_grid = polar_grid(6.0, 12, 16, include_origin=True)
     best = 0.0
     for w in w_grid:
         image = symbols.sub(
@@ -195,13 +194,13 @@ class PathKind(str, Enum):
     WEIGHT = "weight"
 
 
-def _needs_detour(lam: complex | None, tol: float = 1e-9) -> bool:
+def _needs_detour(lam: complex | None) -> bool:
     # proportional weights with ratio lam forbid the blend 1/(1-lam); the
     # straight segment [0, 1] only needs rerouting when it hits that point
     if lam is None or lam == 1:
         return False
     forbidden = 1.0 / (1.0 - lam)
-    return abs(forbidden.imag) <= tol and -tol <= forbidden.real <= 1.0 + tol
+    return abs(forbidden.imag) <= _DETOUR_TOL and -_DETOUR_TOL <= forbidden.real <= 1.0 + _DETOUR_TOL
 
 
 def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
@@ -210,7 +209,6 @@ def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
                  psi2: EntireFunction | None = None,
                  b1: complex | None = None,
                  b2: complex | None = None,
-                 family: FamilySpec | None = None,
                  spec: QuadratureSpec | None = None,
                  matrix_order: int = 48) -> list[tuple[float, float]]:
     """Numeric increment profile along one of the canonical connecting paths.
@@ -266,5 +264,5 @@ def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
         matrices = [f2_matrix(op, matrix_order, check_tail=False).entries for op in ops]
         distances = [matrix_sigma_max(a - b) for a, b in zip(matrices, matrices[1:])]
     else:
-        distances = [empirical_distance(a, b, family, spec) for a, b in zip(ops, ops[1:])]
+        distances = [empirical_distance(a, b, spec=spec) for a, b in zip(ops, ops[1:])]
     return list(zip(ts[1:], distances))

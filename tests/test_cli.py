@@ -4,10 +4,11 @@ import json
 
 import pytest
 
+from focklab import cli
 from focklab.cli import main
 from focklab.config import RunConfig
 from focklab.quadrature import QuadratureSpec
-from focklab.report import ereal, run
+from focklab.report import Report, ereal, run
 
 
 CHECK_CONFIG = RunConfig(quadrature=QuadratureSpec(abs_tol=1e-9, rel_tol=1e-6))
@@ -82,11 +83,82 @@ def test_cli_exit_codes(capsys):
     ["path", "--kind", "translate", "--b1", "0", "--p", "2", "--q", "2"],
     ["path", "--kind", "dilate", "--p", "2", "--q", "2"],
     ["path", "--kind", "translate", "--b1", "0", "--b2", "1", "--steps", "0", "--p", "2", "--q", "2"],
+    # admissibility of tolerances, exponents, maps and symbol text
+    ["norm", "--symbol", "1", "--p", "2", "--abs-tol", "0"],
+    ["norm", "--symbol", "1", "--p", "2", "--rel-tol", "-1"],
+    ["norm", "--symbol", "1", "--p", "0"],
+    ["norm", "--symbol", "1", "--p", "nan"],
+    ["classify", "--psi", "1", "--phi", "0.5,0", "--p", "inf", "--q", "2"],
+    ["classify", "--psi", "1", "--phi", "2,0", "--p", "2", "--q", "2"],
+    ["norm", "--symbol", "1e400", "--p", "2"],
+    ["norm", "--symbol", "exp(800)", "--p", "2"],
+    ["profile-m", "--psi", "1", "--phi", "0.5,0", "--radii", "0,abc"],
+    ["norm", "--symbol", "(" * 3000 + "1" + ")" * 3000, "--p", "2"],
 ])
 def test_cli_invalid_matrix_and_path_inputs_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+OP = ["--psi", "1", "--phi", "0.5,0", "--p", "2", "--q", "2"]
+QUADRATURE = ["--abs-tol", "--rel-tol", "--max-radius"]
+# per subcommand: its inputs and the settings its handler reads
+SUBCOMMANDS = {
+    "norm": (["--symbol", "1", "--p", "2"], QUADRATURE),
+    "classify": (OP, QUADRATURE + ["--grid-radius"]),
+    "opnorm": (OP, QUADRATURE + ["--grid-radius", "--matrix-order"]),
+    "essnorm": (OP, []),
+    "component": (OP, []),
+    "diff": (["--psi1", "1", "--phi1", "0.5,0", "--psi2", "z", "--phi2", "0.5,0",
+              "--p", "2", "--q", "2"], []),
+    "isolated": (["--phi", "1,0", "--p", "2", "--q", "2"], []),
+    "path": (["--kind", "dilate", "--phi", "0.5,0", "--p", "2", "--q", "2"],
+             QUADRATURE + ["--matrix-order"]),
+    "profile-m": (["--psi", "1", "--phi", "0.5,0"], []),
+    "verify": (["--fast"], ["--seed"]),
+}
+SETTINGS = {"--abs-tol": "1e-9", "--rel-tol": "1e-6", "--max-radius": "30",
+            "--grid-radius": "5", "--matrix-order": "16", "--seed": "7"}
+
+
+def _settings(config: RunConfig) -> dict:
+    return {"--abs-tol": config.quadrature.abs_tol, "--rel-tol": config.quadrature.rel_tol,
+            "--max-radius": config.quadrature.max_radius, "--grid-radius": config.grid_radius,
+            "--matrix-order": config.matrix_order, "--seed": config.seed}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_cli_settings_reach_the_run_config(command, monkeypatch):
+    inputs, reads = SUBCOMMANDS[command]
+    seen = []
+
+    def fake_run(name, options, config):
+        seen.append(config)
+        return Report(name, {}, {"failed": 0}, ())
+
+    monkeypatch.setattr(cli, "run", fake_run)
+    assert main([command, *inputs]) == 0
+    assert seen.pop() == RunConfig()
+    argv = [command, *inputs]
+    for flag in reads:
+        argv += [flag, SETTINGS[flag]]
+    assert main(argv) == 0
+    got = _settings(seen.pop())
+    for flag in reads:
+        assert got[flag] == float(SETTINGS[flag])
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_cli_rejects_settings_its_handler_ignores(command):
+    inputs, reads = SUBCOMMANDS[command]
+    unread = [(flag, value) for flag, value in SETTINGS.items() if flag not in reads]
+    if command not in ("path", "profile-m"):
+        unread.append(("--format", "csv"))
+    for flag, value in unread:
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, flag, value])
+        assert exc.value.code == 2
 
 
 def test_cli_csv_output(capsys):
@@ -105,8 +177,8 @@ def test_path_report_rows():
 
 
 def test_opnorm_report_fields():
-    report = run("opnorm", {"psi": "1", "phi": "0.5,0", "p": 2.0, "q": 2.0,
-                            "matrix_order": 32}, CHECK_CONFIG)
+    config = RunConfig(quadrature=CHECK_CONFIG.quadrature, matrix_order=32)
+    report = run("opnorm", {"psi": "1", "phi": "0.5,0", "p": 2.0, "q": 2.0}, config)
     results = report.results
     assert results["theory_lower"]["value"] <= results["matrix_sigma"]["value"] * (1 + 1e-8)
     assert results["matrix_sigma"]["value"] <= results["theory_upper"]["value"]

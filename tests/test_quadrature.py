@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from focklab import quadrature
 from focklab.errors import TailNotDominated, ToleranceNotMet
-from focklab.fock import kernel, magnitude_power_integrand
+from focklab.fock import fock_norm, kernel, magnitude_power_integrand
+from focklab.parsing import parse_symbol
 from focklab.quadrature import (
     GrowthEnvelope,
     PolarIntegrand,
@@ -113,6 +115,19 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
-        QuadratureSpec(radial_panel_order=2)
-    with pytest.raises(ValueError):
         gaussian_integral(moment_integrand(0), -1.0)
+
+
+def test_no_panel_is_evaluated_twice(monkeypatch):
+    # the first pass's base panels also fix the relative-tolerance scale
+    seen = []
+    panel = quadrature._RadialIntegrator.panel
+
+    def recording_panel(self, r0, r1):
+        seen.append((float(r0), float(r1)))
+        return panel(self, r0, r1)
+
+    monkeypatch.setattr(quadrature._RadialIntegrator, "panel", recording_panel)
+    norm = fock_norm(parse_symbol("z^2*exp(0.5*z) + 3*z"), 2.0)
+    assert norm.truncation_radius == 16.0
+    assert seen and len(seen) == len(set(seen))
