@@ -18,6 +18,10 @@ from .quadrature import QuadratureSpec
 T = TypeVar("T")
 R = TypeVar("R")
 
+# the normalized basis z^n / sqrt(n!) leaves the float range past n = 300,
+# so no larger truncation order yields a finite matrix
+MAX_MATRIX_ORDER = 256
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -27,8 +31,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.matrix_order < 8:
-            raise HypothesisViolated("matrix_order must be at least 8")
+        if not 8 <= self.matrix_order <= MAX_MATRIX_ORDER:
+            raise HypothesisViolated(f"matrix_order must lie in [8, {MAX_MATRIX_ORDER}]")
         if self.grid_radius <= 0:
             raise HypothesisViolated("grid_radius must be positive")
 

@@ -23,8 +23,7 @@ runs no numerics; ``classify`` adds the numeric norm brackets:
 
 Decision rules carry stable tags (``rules`` on the decision and the
 classification) that reports cite; see the README catalog.  The annulus
-scan and the polar-scan cross-check are standalone numeric views of the
-gauge that no decision reads.
+scan is a standalone numeric view of the gauge that no decision reads.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import maximize, symbols
+from . import symbols
 from .errors import HypothesisViolated, TailNotDominated
-from .fock import fock_norm, gauge_at, gauge_ascent_seeds, gauge_peak, log_gauge_at
+from .fock import fock_norm, gauge_at, gauge_peak, log_gauge_at, log_gauge_grid
 from .operators import FamilySpec, WeightedCompositionOperator, empirical_norm
 from .quadrature import (
     DEFAULT_SPEC,
@@ -46,7 +45,6 @@ from .quadrature import (
     PolarIntegrand,
     QuadratureSpec,
     plane_integral,
-    polar_grid,
 )
 from .symbols import AffineMap, EntireFunction
 
@@ -79,7 +77,8 @@ class GaugeProfile:
     """Sup and limsup of the gauge for one symbol pair.
 
     The limsup, and the sup when |a| = 1, are symbolic; the sup for |a| < 1
-    is the maximum of the multi-start ascent.  ``limsup_exact_zero``
+    is the maximum ``fock.gauge_peak`` reaches from its seeded polar grid.
+    ``limsup_exact_zero``
     distinguishes the exact symbolic zero (Gaussian decay) from a merely
     small value.
     """
@@ -125,12 +124,7 @@ def gauge_profile(psi: EntireFunction, phi: AffineMap) -> GaugeProfile:
 
 def _annulus_sup(psi: EntireFunction, phi: AffineMap, radius: float) -> float:
     angles = 2.0 * math.pi * np.arange(_ANNULUS_ANGLES) / _ANNULUS_ANGLES
-    zs = radius * np.exp(1j * angles)
-    a, b = phi.a, phi.b
-    logs = (
-        symbols.log_abs_grid(psi, zs)
-        + 0.5 * ((abs(a) ** 2 - 1.0) * radius**2 + 2.0 * (b.conjugate() * a * zs).real + abs(b) ** 2)
-    )
+    logs = log_gauge_grid(psi, phi, radius * np.exp(1j * angles))
     k = int(np.argmax(logs))
     best = float(logs[k])
     # one-dimensional refinement around the best angle
@@ -154,18 +148,6 @@ def annulus_sups(psi: EntireFunction, phi: AffineMap,
     return tuple((r, _annulus_sup(psi, phi, r)) for r in radii)
 
 
-def polar_scan_sup(psi: EntireFunction, phi: AffineMap) -> float:
-    """Independent numeric cross-check of the |a| < 1 gauge supremum: ascend
-    from the four best points of a coarse polar scan."""
-    if phi.is_unit_modulus:
-        raise HypothesisViolated("the polar scan cross-checks the supremum for |a| < 1 only")
-    _, cap = gauge_ascent_seeds(psi, phi)
-    grid = [complex(z) for z in polar_grid(cap, 24, 16, include_origin=True)]
-    grid.sort(key=lambda z: log_gauge_at(psi, phi, z), reverse=True)
-    _, best = maximize.maximize(lambda z: log_gauge_at(psi, phi, z), grid[:4])
-    return _safe_exp(best)
-
-
 def gauge_plane_norm(psi: EntireFunction, phi: AffineMap, p: float, q: float,
                      spec: QuadratureSpec | None = None) -> float:
     """L^{pq/(p-q)} plane norm of the gauge (q < p); inf when not integrable.
@@ -183,19 +165,14 @@ def gauge_plane_norm(psi: EntireFunction, phi: AffineMap, p: float, q: float,
     a, b = phi.a, phi.b
     amp, degree, rate = symbols.envelope_majorant(psi)
     envelope = GrowthEnvelope.single(
-        amplitude=(amp**s) * math.exp(min(s * abs(b) ** 2 / 2.0, 700.0)),
+        amplitude=(amp**s) * math.exp(min(s * symbols.square(abs(b)) / 2.0, 700.0)),
         degree=degree * s,
         rate=s * (rate + abs(a * b)),
         curvature=s * (abs(a) ** 2 - 1.0) / 2.0,
     )
 
-    def log_gauge_power(zs: np.ndarray) -> np.ndarray:
-        quad = (abs(a) ** 2 - 1.0) * np.abs(zs) ** 2
-        linear = 2.0 * (b.conjugate() * a * zs).real
-        return s * (symbols.log_abs_grid(psi, zs) + 0.5 * (quad + linear + abs(b) ** 2))
-
     integrand = PolarIntegrand(
-        log_magnitude=log_gauge_power,
+        log_magnitude=lambda zs: s * log_gauge_grid(psi, phi, zs),
         envelope=envelope,
         angular_degree=s * degree,
         angular_rate=s * (rate + abs(a * b)),

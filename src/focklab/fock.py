@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import maximize, symbols
-from .errors import BoundViolated
+from . import symbols
+from .errors import BoundViolated, NumericFailure
 from .quadrature import (
     DEFAULT_SPEC,
     GrowthEnvelope,
@@ -31,6 +31,10 @@ from .quadrature import (
     polar_grid,
 )
 from .symbols import EntireFunction, validate_fock_index
+
+
+# log of the largest integrand amplitude the quadrature takes unscaled
+_LOG_HUGE = 600.0
 
 
 @dataclass(frozen=True)
@@ -66,10 +70,22 @@ def fock_norm(f: EntireFunction, p: float,
     p = validate_fock_index(p)
     if f.is_zero:
         return NormValue(0.0, 0.0, None)
+    amp, _, _ = symbols.envelope_majorant(f)
+    if not math.isfinite(amp):
+        raise NumericFailure("the symbol's coefficient sum exceeds the float range")
+    # the norm is homogeneous: an amplitude whose p-th power would overflow
+    # is divided out by 2^exponent >= amp and multiplied back at the end
+    exponent = math.ceil(math.log2(amp)) if p * math.log(amp) > _LOG_HUGE else 0
+    if exponent:
+        f = symbols.scale(f, math.ldexp(1.0, -exponent))
     res: IntegralResult = gaussian_integral(magnitude_power_integrand(f, p), p, spec or DEFAULT_SPEC)
     value = res.value ** (1.0 / p)
     # d(I^{1/p}) = I^{1/p} dI / (p I)
     error = value * res.error_estimate / (p * res.value) if res.value > 0 else res.error_estimate
+    try:
+        value, error = math.ldexp(value, exponent), math.ldexp(error, exponent)
+    except OverflowError:
+        raise NumericFailure(f"the {p}-norm exceeds the float range") from None
     return NormValue(value, error, res.truncation_radius)
 
 
@@ -82,17 +98,10 @@ def fock_distance(f: EntireFunction, g: EntireFunction, p: float,
 
 
 def sup_norm(f: EntireFunction) -> NormValue:
-    """sup over the plane of |f(z)| exp(-|z|^2/2), by log-domain maximization."""
+    """sup over the plane of |f(z)| exp(-|z|^2/2): the gauge of f and the zero map."""
     if f.is_zero:
         return NormValue(0.0, 0.0)
-
-    def objective(z: complex) -> float:
-        return symbols.log_abs(f, z) - abs(z) ** 2 / 2.0
-
-    seeds = [t.rate.conjugate() for t in f.terms]
-    cap = max(4.0, f.max_rate + f.degree + 2.0)
-    seeds += maximize.polar_seeds([0.3 * cap, 0.7 * cap, cap])
-    _, best = maximize.maximize(objective, seeds)
+    _, best = gauge_peak(f, symbols.AffineMap(0.0))
     value = math.exp(best) if best <= 709.0 else math.inf
     return NormValue(value, 1e-11 * value)
 
@@ -103,13 +112,32 @@ def kernel(w: complex) -> EntireFunction:
     return symbols.exp_term(w.conjugate(), math.exp(-abs(w) ** 2 / 2.0))
 
 
+def log_gauge_grid(psi: EntireFunction, phi: symbols.AffineMap, zs) -> np.ndarray:
+    """log of |psi(z)| exp((|phi(z)|^2 - |z|^2)/2), the symbol gauge, on an array.
+
+    Never raises: a log beyond the float range reads +inf, and a point where
+    overflowing parts cancel (inf - inf) reads -inf, so no nan reaches a
+    maximum.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    a, b = phi.a, phi.b
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = (abs(a) ** 2 - 1.0) * np.abs(zs) ** 2
+        linear = 2.0 * (b.conjugate() * a * zs).real
+        logs = symbols.log_abs_grid(psi, zs) + 0.5 * (quad + linear + symbols.square(abs(b)))
+    return np.where(np.isnan(logs), -np.inf, logs)
+
+
 def log_gauge_at(psi: EntireFunction, phi: symbols.AffineMap, z: complex) -> float:
-    """log of |psi(z)| exp((|phi(z)|^2 - |z|^2)/2), the pointwise symbol gauge."""
+    """``log_gauge_grid`` at one point, in scalar arithmetic: the annulus
+    refinement compares neighbours at the last bit, where numpy's vector
+    routines round differently."""
     a, b = phi.a, phi.b
     z = complex(z)
-    quad = (abs(a) ** 2 - 1.0) * abs(z) ** 2
+    quad = (abs(a) ** 2 - 1.0) * symbols.square(abs(z))
     linear = 2.0 * (b.conjugate() * a * z).real
-    return symbols.log_abs(psi, z) + 0.5 * (quad + linear + abs(b) ** 2)
+    value = symbols.log_abs(psi, z) + 0.5 * (quad + linear + symbols.square(abs(b)))
+    return -math.inf if math.isnan(value) else value
 
 
 def gauge_at(psi: EntireFunction, phi: symbols.AffineMap, z: complex) -> float:
@@ -120,31 +148,63 @@ def gauge_at(psi: EntireFunction, phi: symbols.AffineMap, z: complex) -> float:
     return math.exp(value) if value <= 709.0 else math.inf
 
 
-def gauge_ascent_seeds(psi: EntireFunction,
-                       phi: symbols.AffineMap) -> tuple[list[complex], float]:
-    """Ascent seeds for maximizing the gauge when |a| < 1: the per-term
-    quadratic optima plus polar rings out to the concavity scale."""
-    a, b = phi.a, phi.b
-    alpha = (1.0 - abs(a) ** 2) / 2.0
-    cap = min(4.0 / max(1.0 - abs(a) ** 2, 1e-3), 60.0)
-    seeds = []
-    for t in psi.terms:
-        linear = t.rate + b.conjugate() * a
-        seeds.append(linear.conjugate() / (2.0 * alpha))
-    seeds += maximize.polar_seeds([0.25 * cap, 0.55 * cap, 0.85 * cap])
-    return seeds, cap
+# The gauge maximizer: a polar grid of _GRID_RADII x _GRID_ANGLES points and
+# the per-term stationary points seed a compass polish of the _POLISHED best
+# points, each probing its four neighbours at its own step, halved from
+# _FIRST_STEP to _MIN_STEP whenever no neighbour is higher.
+_GRID_RADII = 24
+_GRID_ANGLES = 32
+_POLISHED = 4
+_FIRST_STEP = 0.5
+_MIN_STEP = 1e-9
+# a point moves at most one step per round, so the cap bounds a call's work
+# however far a seed lies from its peak
+_MAX_ROUNDS = 5000
+_COMPASS = np.array([1.0, -1.0, 1j, -1j])
+
+
+def _polish(psi: EntireFunction, phi: symbols.AffineMap,
+            zs: np.ndarray, values: np.ndarray) -> tuple[complex, float]:
+    """Compass ascent of every point at once; the best point reached."""
+    steps = np.full(zs.shape, _FIRST_STEP)
+    for _ in range(_MAX_ROUNDS):
+        active = steps > _MIN_STEP
+        if not active.any():
+            break
+        probes = zs[:, None] + steps[:, None] * _COMPASS[None, :]
+        probe_values = log_gauge_grid(psi, phi, probes)
+        rows, k = np.arange(zs.size), np.argmax(probe_values, axis=1)
+        best = probe_values[rows, k]
+        moved = active & (best > values)
+        zs = np.where(moved, probes[rows, k], zs)
+        values = np.where(moved, best, values)
+        steps = np.where(moved | ~active, steps, 0.5 * steps)
+    k = int(np.argmax(values))
+    return complex(zs[k]), float(values[k])
 
 
 def gauge_peak(psi: EntireFunction, phi: symbols.AffineMap) -> tuple[complex, float]:
-    """argmax of the gauge and its log value (finite for |a| < 1).
+    """argmax of the gauge and its log value (finite for |a| < 1 unless the
+    log itself overflows, which reads +inf).
 
     For unit-modulus maps the quadratic cancels and the gauge is either
     constant or unbounded; the origin is returned as a representative point.
+    For |a| < 1 the grid reaches past both the concavity scale 4/(1-|a|^2)
+    (at most 60) and the reach (rate + |ab|)/alpha + sqrt(degree/alpha) of
+    psi's growth against the Gaussian decay alpha = (1-|a|^2)/2.
     """
     if phi.is_unit_modulus:
         return 0j, log_gauge_at(psi, phi, 0j)
-    seeds, _ = gauge_ascent_seeds(psi, phi)
-    return maximize.maximize(lambda z: log_gauge_at(psi, phi, z), seeds)
+    a, b = phi.a, phi.b
+    alpha = (1.0 - abs(a) ** 2) / 2.0
+    reach = (psi.max_rate + abs(a * b)) / alpha + math.sqrt(psi.degree / alpha)
+    radius = max(min(2.0 / max(alpha, 5e-4), 60.0), reach)
+    stationary = [(t.rate + b.conjugate() * a).conjugate() / (2.0 * alpha) for t in psi.terms]
+    zs = np.concatenate((stationary, polar_grid(radius, _GRID_RADII, _GRID_ANGLES,
+                                                include_origin=True)))
+    values = log_gauge_grid(psi, phi, zs)
+    best = np.argsort(values)[-_POLISHED:]
+    return _polish(psi, phi, zs[best], values[best])
 
 
 def default_bound_grid() -> np.ndarray:

@@ -27,6 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import Inadmissible, TailNotDominated, ToleranceNotMet
+from .symbols import square
 
 _MAX_SPLITS = 4000
 _MAX_DEPTH = 48
@@ -119,7 +120,7 @@ def _tail_bound(envelope: GrowthEnvelope, s: float, radius: float) -> float:
             return math.inf
         log_term = (
             math.log(2.0 * t.amplitude / beta)
-            + t.rate**2 / (2.0 * beta)
+            + square(t.rate) / (2.0 * beta)
             + t.degree * math.log1p(radius)
             - beta * radius**2 / 2.0
         )

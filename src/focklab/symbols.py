@@ -44,6 +44,14 @@ def _cexp(w: complex) -> complex:
     return cmath.exp(w)
 
 
+def square(x: float) -> float:
+    """x ** 2, reading an overflow as inf instead of raising OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _poly_add(p: list[complex], q: list[complex]) -> list[complex]:
     if len(p) < len(q):
         p, q = q, p

@@ -15,6 +15,7 @@ the multiples of exp(-conj(b) a z).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,6 +42,9 @@ RULE_FULL_CONNECTED = "full-connectivity-large-to-small"
 RULE_ISOLATION = "noncompact-isolation"
 
 _DETOUR_TOL = 1e-9
+# each step costs a distance between neighbouring operators; the cap keeps
+# the list of path points from growing without bound
+MAX_PATH_STEPS = 1000
 
 
 class DifferenceReason(str, Enum):
@@ -225,10 +229,12 @@ def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
       when the weights are proportional with ratio lam, where the straight
       segment may cross the forbidden point 1/(1-lam); the path then takes
       a fixed arc through the complex plane around it.
+
+    ``steps`` runs from 1 to ``MAX_PATH_STEPS``.
     """
     kind = PathKind(kind)
-    if steps < 1:
-        raise HypothesisViolated("steps must be positive")
+    if not 1 <= steps <= MAX_PATH_STEPS:
+        raise HypothesisViolated(f"steps must lie in [1, {MAX_PATH_STEPS}]")
     spec = spec or DEFAULT_SPEC
     ts = [i / steps for i in range(steps + 1)]
 
@@ -260,9 +266,10 @@ def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
 
     if p == 2.0 and q == 2.0:
         # Hilbert-Hilbert case: truncated-matrix sigma is the sharper witness;
-        # each step's matrix is built once and serves both of its increments
-        matrices = [f2_matrix(op, matrix_order, check_tail=False).entries for op in ops]
-        distances = [matrix_sigma_max(a - b) for a, b in zip(matrices, matrices[1:])]
+        # each step's matrix is built once and serves both of its increments;
+        # only two are held at a time
+        matrices = (f2_matrix(op, matrix_order, check_tail=False).entries for op in ops)
+        distances = [matrix_sigma_max(a - b) for a, b in itertools.pairwise(matrices)]
     else:
         distances = [empirical_distance(a, b, spec=spec) for a, b in zip(ops, ops[1:])]
     return list(zip(ts[1:], distances))

@@ -1,6 +1,7 @@
 """Report contract and CLI wiring."""
 
 import json
+import math
 
 import pytest
 
@@ -75,6 +76,20 @@ def test_cli_exit_codes(capsys):
     # truncation tail cannot be controlled inside a tiny radius cap: exits 3
     assert main(["norm", "--symbol", "exp(4*z)", "--p", "2", "--max-radius", "6"]) == 3
 
+    # |c|^p overflows but ||c||_p = |c| does not: the homogeneous norm is exact
+    assert main(["norm", "--symbol", "exp(709.5)", "--p", "2"]) == 0
+    value = json.loads(capsys.readouterr().out)["results"]["value"]
+    assert math.isclose(value, math.exp(709.5), rel_tol=1e-12)
+    # |c|^p is finite but p log|c| is past the scaling threshold
+    assert main(["norm", "--symbol", "1.9", "--p", "1000"]) == 0
+    value = json.loads(capsys.readouterr().out)["results"]["value"]
+    assert math.isclose(value, 1.9, rel_tol=1e-12)
+    # a norm, or a coefficient sum, beyond the float range exits 3 with one line
+    for symbol in ("exp(709.7)*exp(z)", "exp(709.5)+exp(709.5)*z"):
+        assert main(["norm", "--symbol", symbol, "--p", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize("argv", [
     ["opnorm", "--psi", "1", "--phi", "0.5,0", "--p", "2", "--q", "2", "--matrix-order", "2"],
@@ -94,6 +109,10 @@ def test_cli_exit_codes(capsys):
     ["norm", "--symbol", "exp(800)", "--p", "2"],
     ["profile-m", "--psi", "1", "--phi", "0.5,0", "--radii", "0,abc"],
     ["norm", "--symbol", "(" * 3000 + "1" + ")" * 3000, "--p", "2"],
+    # sizes past the documented caps
+    ["opnorm", "--psi", "1", "--phi", "0.5,0", "--p", "2", "--q", "2", "--matrix-order", "100000000"],
+    ["path", "--kind", "translate", "--b1", "0", "--b2", "1", "--steps", "100000000000",
+     "--p", "1", "--q", "2"],
 ])
 def test_cli_invalid_matrix_and_path_inputs_exit_2(argv, capsys):
     assert main(argv) == 2

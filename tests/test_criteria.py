@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from focklab import symbols as sy
@@ -14,9 +15,9 @@ from focklab.criteria import (
     gauge_at,
     gauge_plane_norm,
     gauge_profile,
-    polar_scan_sup,
 )
 from focklab.errors import HypothesisViolated
+from focklab.fock import gauge_peak
 from focklab.operators import (
     FamilySpec,
     WeightedCompositionOperator,
@@ -80,6 +81,40 @@ def test_gauge_limsup_regimes():
     assert any(s > 1e12 for _, s in annulus_sups(sy.ONE, AffineMap(UNIT, 1.0)))
 
 
+def _log_gauge(psi, phi, zs):
+    # |psi| e^{(|phi|^2 - |z|^2)/2} straight from the definition
+    return sy.log_abs_grid(psi, zs) + (np.abs(phi.a * zs + phi.b) ** 2 - np.abs(zs) ** 2) / 2.0
+
+
+def _scan_log_sup(psi, phi):
+    """Brute-force log sup of the gauge (|a| < 1): a dense square grid over a
+    disc that provably holds the maximizer, then zoomed grids around the
+    best points.  No ascent: only grid evaluations and argmax."""
+    amp, degree, rate = sy.envelope_majorant(psi)
+    alpha = (1.0 - abs(phi.a) ** 2) / 2.0
+    reference = float(np.max(_log_gauge(psi, phi, np.array([0j, 1, 1j, -1, -1j]))))
+    # log gauge(z) <= log amp + degree log(1+r) + (rate + |ab|) r - alpha r^2 + |b|^2/2
+    r = np.linspace(0.0, 2000.0, 200001)
+    bound = (math.log(amp) + degree * np.log1p(r) + (rate + abs(phi.a * phi.b)) * r
+             - alpha * r**2 + abs(phi.b) ** 2 / 2.0)
+    radius = float(r[bound >= reference].max()) + 1.0
+    h = 2.0 * radius / 400
+    axis = np.linspace(-radius, radius, 401)
+    zs = (axis[:, None] + 1j * axis[None, :]).ravel()
+    values = _log_gauge(psi, phi, zs)
+    best = -math.inf
+    for z in zs[np.argsort(values)[-8:]]:
+        step = h
+        for _ in range(5):
+            offsets = step * np.linspace(-2.0, 2.0, 41)
+            window = (z + offsets[:, None] + 1j * offsets[None, :]).ravel()
+            window_values = _log_gauge(psi, phi, window)
+            z = window[int(np.argmax(window_values))]
+            step /= 20.0
+        best = max(best, float(window_values.max()))
+    return best
+
+
 def test_numeric_matches_symbolic_sup(rng):
     regimes = ("zero", "interior", "interior", "unit")
     moduli = (0.0, 0.3, 0.9, 1.0)
@@ -99,9 +134,20 @@ def test_numeric_matches_symbolic_sup(rng):
         if math.isinf(prof.symbolic_sup):
             assert max(s for _, s in annulus_sups(psi, phi)) > 1e6
         else:
-            numeric_sup = polar_scan_sup(psi, phi)
-            assert numeric_sup <= prof.symbolic_sup * (1 + 1e-6)
-            assert math.isclose(numeric_sup, prof.symbolic_sup, rel_tol=1e-6)
+            scan = math.exp(_scan_log_sup(psi, phi))
+            assert prof.symbolic_sup >= scan * (1 - 1e-12)
+            assert math.isclose(prof.symbolic_sup, scan, rel_tol=1e-6)
+
+    # psi = c e^{dz}: log gauge = log|c| + Re((d + conj(b) a) z) - alpha |z|^2 + |b|^2/2,
+    # and the sup of Re(w z) - alpha |z|^2 over the plane is |w|^2 / (4 alpha)
+    for _ in range(40):
+        c, d = random_complex(rng, 2.0) + 0.1, random_complex(rng, 2.0)
+        phi = random_affine(rng, regime="interior", a_max=0.97, b_radius=1.5)
+        alpha = (1.0 - abs(phi.a) ** 2) / 2.0
+        w = d + phi.b.conjugate() * phi.a
+        closed = math.log(abs(c)) + abs(w) ** 2 / (4.0 * alpha) + abs(phi.b) ** 2 / 2.0
+        _, log_peak = gauge_peak(sy.exp_term(d, c), phi)
+        assert math.isclose(log_peak, closed, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_plane_norm_oracles():

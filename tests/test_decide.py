@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from focklab import fock, maximize, operators
+from focklab import fock, operators
 from focklab import symbols as sy
 from focklab.criteria import classify, decide, essential_norm_bracket
 from focklab.operators import WeightedCompositionOperator, composition_operator
@@ -38,7 +38,7 @@ def _forbid(monkeypatch, module, name):
 
 @pytest.fixture
 def no_numerics(monkeypatch):
-    _forbid(monkeypatch, maximize, "ascend")
+    _forbid(monkeypatch, fock, "gauge_peak")
     _forbid(monkeypatch, fock, "fock_norm")
     _forbid(monkeypatch, operators, "empirical_norm")
 
@@ -77,7 +77,7 @@ def test_decisions_run_no_numerics(no_numerics):
     assert essnorm.results["ess_upper"] == {"value": 2.0, "finite": True}
 
     # the guards are live: the numeric brackets do trip them
-    with pytest.raises(AssertionError, match="ascend"):
+    with pytest.raises(AssertionError, match="gauge_peak"):
         classify(bulk)
     with pytest.raises(AssertionError, match="empirical_norm"):
         classify(small)
@@ -109,6 +109,11 @@ def test_overflowing_sup_keeps_the_verdict():
     diff = run("diff", {"psi1": "exp(2*z)", "phi1": "0.999,0", "psi2": "1", "phi2": "0.5,0",
                         "p": 2.0, "q": 2.0})
     assert diff.results["reason"] == "BothCompact"
+    # |b|^2 itself overflows: the log-domain sup reads +inf, never nan
+    huge = run("classify", {"psi": "1", "phi": "0.5,1e200", "p": 2.0, "q": 2.0}).results
+    assert huge["verdict"] == "Compact"
+    assert huge["norm_lower"] == {"value": sys.float_info.max, "finite": True}
+    assert huge["norm_upper"] == {"value": "inf", "finite": False}
     # log sup 900 / (2 (1 - 0.9999^2)) ~ 2.25e6
     assert is_isolated(AffineMap(0.9999, 30.0), 2.0, 2.0) is False
     # a leaf whose level e^{|b|^2/2} = e^800 overflows stays bounded
