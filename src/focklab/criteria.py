@@ -24,6 +24,8 @@ runs no numerics; ``classify`` adds the numeric norm brackets:
 Decision rules carry stable tags (``rules`` on the decision and the
 classification) that reports cite; see the README catalog.  The annulus
 scan is a standalone numeric view of the gauge that no decision reads.
+Every numeric gauge value here (peak, annulus scan, pointwise gauge and
+plane norm) comes from the one vectorized formula ``fock.log_gauge_grid``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import symbols
 from .errors import HypothesisViolated, TailNotDominated
-from .fock import fock_norm, gauge_at, gauge_peak, log_gauge_at, log_gauge_grid
+from .fock import fock_norm, gauge_at, gauge_peak, log_gauge_grid
 from .operators import FamilySpec, WeightedCompositionOperator, empirical_norm
 from .quadrature import (
     DEFAULT_SPEC,
@@ -50,6 +52,8 @@ from .symbols import AffineMap, EntireFunction
 
 ANNULUS_RADII = tuple(float(2**k) for k in range(1, 11))
 _ANNULUS_ANGLES = 512
+# one refinement round's angles around the best, in units of its half-width h
+_REFINE_OFFSETS = np.linspace(-1.0, 1.0, 17)
 
 RULE_RANK_ONE = "rank-one-compact"
 RULE_SUP_BOUNDED = "sup-gauge-boundedness"
@@ -64,29 +68,19 @@ RULE_ESS_UNIT = "unit-modulus-essential-floor"
 RULE_ESS_TRIVIAL = "trivial-essential-bounds"
 
 
-def _safe_exp(x: float) -> float:
-    if x == -math.inf:
-        return 0.0
-    if x > 709.0:
-        return math.inf
-    return math.exp(x)
-
-
 @dataclass(frozen=True)
 class GaugeProfile:
     """Sup and limsup of the gauge for one symbol pair.
 
     The limsup, and the sup when |a| = 1, are symbolic; the sup for |a| < 1
     is the maximum ``fock.gauge_peak`` reaches from its seeded polar grid.
-    ``limsup_exact_zero``
-    distinguishes the exact symbolic zero (Gaussian decay) from a merely
-    small value.
+    A limsup of 0.0 is the exact symbolic zero of Gaussian decay, never a
+    rounded small value.  The direction in which an unbounded gauge grows
+    is ``Decision.witness``.
     """
 
     symbolic_sup: float
     symbolic_limsup: float
-    limsup_exact_zero: bool
-    witness_direction: complex | None = None
 
 
 def _leaf_level(psi: EntireFunction, phi: AffineMap) -> float | None:
@@ -96,7 +90,7 @@ def _leaf_level(psi: EntireFunction, phi: AffineMap) -> float | None:
     factor = symbols.constant_value(g, tol=symbols.TOL_SYM * max(1.0, abs(phi.a * phi.b)))
     if factor is None:
         return None
-    return abs(factor) * _safe_exp(abs(phi.b) ** 2 / 2.0)
+    return abs(factor) * symbols.safe_exp(abs(phi.b) ** 2 / 2.0)
 
 
 def _divergence_direction(psi: EntireFunction, phi: AffineMap) -> complex:
@@ -111,41 +105,41 @@ def _divergence_direction(psi: EntireFunction, phi: AffineMap) -> complex:
 def gauge_profile(psi: EntireFunction, phi: AffineMap) -> GaugeProfile:
     """Sup/limsup profile of the gauge for one symbol pair."""
     if psi.is_zero:
-        return GaugeProfile(0.0, 0.0, True)
+        return GaugeProfile(0.0, 0.0)
     if phi.is_unit_modulus:
         level = _leaf_level(psi, phi)
-        if level is None:
-            return GaugeProfile(math.inf, math.inf, False, _divergence_direction(psi, phi))
-        return GaugeProfile(level, level, False)
+        return GaugeProfile(math.inf, math.inf) if level is None else GaugeProfile(level, level)
     # |a| < 1 (constant maps included): Gaussian decay wins, limsup is exactly 0
     _, best = gauge_peak(psi, phi)
-    return GaugeProfile(_safe_exp(best), 0.0, True)
-
-
-def _annulus_sup(psi: EntireFunction, phi: AffineMap, radius: float) -> float:
-    angles = 2.0 * math.pi * np.arange(_ANNULUS_ANGLES) / _ANNULUS_ANGLES
-    logs = log_gauge_grid(psi, phi, radius * np.exp(1j * angles))
-    k = int(np.argmax(logs))
-    best = float(logs[k])
-    # one-dimensional refinement around the best angle
-    theta, h = float(angles[k]), math.pi / _ANNULUS_ANGLES
-    while h > 1e-10:
-        moved = False
-        for dt in (h, -h):
-            candidate = log_gauge_at(psi, phi, radius * complex(math.cos(theta + dt), math.sin(theta + dt)))
-            if candidate > best:
-                best, theta = candidate, theta + dt
-                moved = True
-        if not moved:
-            h *= 0.5
-    return _safe_exp(best)
+    return GaugeProfile(symbols.safe_exp(best), 0.0)
 
 
 def annulus_sups(psi: EntireFunction, phi: AffineMap,
                  radii: tuple[float, ...] = ANNULUS_RADII) -> tuple[tuple[float, float], ...]:
     """(r, sup of the gauge on |z| = r) per radius: a numeric view of how the
-    gauge approaches its limsup.  No decision reads it."""
-    return tuple((r, _annulus_sup(psi, phi, r)) for r in radii)
+    gauge approaches its limsup.  No decision reads it.
+
+    Every circle is scanned at _ANNULUS_ANGLES angles in one grid call, then
+    all best angles are refined together: each round evaluates 17 angles
+    across +-h around the current best in one grid call and divides h by 8,
+    from one grid spacing down to 1e-10.
+    """
+    rs = np.asarray(radii, dtype=float)[:, None]
+    rows = np.arange(rs.shape[0])
+    h = 2.0 * math.pi / _ANNULUS_ANGLES
+    thetas = np.tile(h * np.arange(_ANNULUS_ANGLES), (rows.size, 1))
+    theta, best = np.zeros(rows.shape), np.full(rows.shape, -np.inf)
+    while True:
+        logs = log_gauge_grid(psi, phi, rs * np.exp(1j * thetas))
+        k = np.argmax(logs, axis=1)
+        higher = logs[rows, k] > best
+        theta = np.where(higher, thetas[rows, k], theta)
+        best = np.where(higher, logs[rows, k], best)
+        if h <= 1e-10:
+            break
+        thetas = theta[:, None] + h * _REFINE_OFFSETS[None, :]
+        h /= 8.0
+    return tuple((r, symbols.safe_exp(float(v))) for r, v in zip(radii, best))
 
 
 def gauge_plane_norm(psi: EntireFunction, phi: AffineMap, p: float, q: float,
@@ -277,7 +271,7 @@ def classify(op: WeightedCompositionOperator,
         # the gauge sup can equal the bound exactly (kernel-type weights), so
         # the quadrature-based upper side carries its certified error
         norm_psi = fock_norm(psi, q, spec)
-        upper = _safe_exp(abs(phi.b) ** 2 / 2.0) * (norm_psi.value + norm_psi.error_estimate)
+        upper = symbols.safe_exp(abs(phi.b) ** 2 / 2.0) * (norm_psi.value + norm_psi.error_estimate)
         m = min(gauge_profile(psi, phi).symbolic_sup, sys.float_info.max)
         return Classification(Verdict.COMPACT, None, m, upper, 0.0, 0.0, None, decision.rules)
 

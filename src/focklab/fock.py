@@ -102,7 +102,7 @@ def sup_norm(f: EntireFunction) -> NormValue:
     if f.is_zero:
         return NormValue(0.0, 0.0)
     _, best = gauge_peak(f, symbols.AffineMap(0.0))
-    value = math.exp(best) if best <= 709.0 else math.inf
+    value = symbols.safe_exp(best)
     return NormValue(value, 1e-11 * value)
 
 
@@ -128,24 +128,9 @@ def log_gauge_grid(psi: EntireFunction, phi: symbols.AffineMap, zs) -> np.ndarra
     return np.where(np.isnan(logs), -np.inf, logs)
 
 
-def log_gauge_at(psi: EntireFunction, phi: symbols.AffineMap, z: complex) -> float:
-    """``log_gauge_grid`` at one point, in scalar arithmetic: the annulus
-    refinement compares neighbours at the last bit, where numpy's vector
-    routines round differently."""
-    a, b = phi.a, phi.b
-    z = complex(z)
-    quad = (abs(a) ** 2 - 1.0) * symbols.square(abs(z))
-    linear = 2.0 * (b.conjugate() * a * z).real
-    value = symbols.log_abs(psi, z) + 0.5 * (quad + linear + symbols.square(abs(b)))
-    return -math.inf if math.isnan(value) else value
-
-
 def gauge_at(psi: EntireFunction, phi: symbols.AffineMap, z: complex) -> float:
     """The pointwise symbol gauge, evaluated in the log domain."""
-    value = log_gauge_at(psi, phi, z)
-    if value == -math.inf:
-        return 0.0
-    return math.exp(value) if value <= 709.0 else math.inf
+    return symbols.safe_exp(float(log_gauge_grid(psi, phi, z)))
 
 
 # The gauge maximizer: a polar grid of _GRID_RADII x _GRID_ANGLES points and
@@ -194,7 +179,7 @@ def gauge_peak(psi: EntireFunction, phi: symbols.AffineMap) -> tuple[complex, fl
     psi's growth against the Gaussian decay alpha = (1-|a|^2)/2.
     """
     if phi.is_unit_modulus:
-        return 0j, log_gauge_at(psi, phi, 0j)
+        return 0j, float(log_gauge_grid(psi, phi, 0j))
     a, b = phi.a, phi.b
     alpha = (1.0 - abs(a) ** 2) / 2.0
     reach = (psi.max_rate + abs(a * b)) / alpha + math.sqrt(psi.degree / alpha)

@@ -98,8 +98,11 @@ def _normalized_coefficients(terms: list[tuple[complex, np.ndarray]], order: int
         gap = n - m
         steps = np.where(gap > 0, rate * np.sqrt(n) / np.maximum(gap, 1), 1.0)
         kernel = np.tril(np.cumprod(steps, axis=0))
-        root_factorials = np.exp(0.5 * np.array([math.lgamma(k + 1) for k in m]))
-        alpha += kernel @ (raw * root_factorials[:, None])
+        # sqrt(k!) overflows past k ~ 300; matrix_sigma_max reports the
+        # non-finite entries, so numpy's warnings would only repeat that
+        with np.errstate(over="ignore", invalid="ignore"):
+            root_factorials = np.exp(0.5 * np.array([math.lgamma(k + 1) for k in m]))
+            alpha += kernel @ (raw * root_factorials[:, None])
         # the ratio of consecutive terms at the window's edge, for the
         # highest power with a nonzero coefficient in each function
         nonzero = raw != 0

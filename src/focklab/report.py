@@ -4,7 +4,8 @@ Reports are schema-stable JSON (``focklab.report/1``): identical inputs and
 seed produce byte-identical output.  Extended reals are encoded as
 ``{"value": <number or "inf">, "finite": <bool>}`` since JSON has no
 infinity literal; complex scalars as ``{"re": ..., "im": ...}``.  CSV output
-exists for the two tabular commands (``profile-m`` and ``path``).
+exists for the two tabular commands (``profile-m`` and ``path``), whose
+row cells are plain numbers unless not finite.
 """
 
 from __future__ import annotations
@@ -79,7 +80,9 @@ class Report:
             raise ValueError(f"command {self.command!r} has no CSV form")
         header = self.results["columns"]
         lines = [",".join(header)]
-        lines += [",".join(repr(float(x)) for x in row) for row in rows]
+        # a non-finite cell is ereal's object in JSON and a bare inf here
+        lines += [",".join(repr(float(x["value"] if isinstance(x, dict) else x)) for x in row)
+                  for row in rows]
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
@@ -98,6 +101,11 @@ def ereal(x: float | None) -> Any:
     if math.isinf(x):
         return {"value": "inf" if x > 0 else "-inf", "finite": False}
     return {"value": x, "finite": True}
+
+
+def _cell(x: float) -> Any:
+    """A table cell: a plain number, or ``ereal``'s object when not finite."""
+    return x if math.isfinite(x) else ereal(x)
 
 
 def _complex(z: complex | None) -> Any:
@@ -272,7 +280,7 @@ def _handle_path(options, config: RunConfig) -> Report:
     return Report(
         "path",
         inputs,
-        {"columns": ["t", "distance"], "rows": [[t, d] for t, d in profile]},
+        {"columns": ["t", "distance"], "rows": [[t, _cell(d)] for t, d in profile]},
         (RULE_COMPONENTS,),
     )
 
@@ -287,7 +295,7 @@ def _handle_profile_m(options, config: RunConfig) -> Report:
         {"psi": render(psi), "phi": {"a": _complex(phi.a), "b": _complex(phi.b)},
          "radii": list(radii)},
         {"columns": ["radius", "annulus_sup"],
-         "rows": [[r, s] for r, s in annulus_sups(psi, phi, radii)],
+         "rows": [[r, _cell(s)] for r, s in annulus_sups(psi, phi, radii)],
          "symbolic_sup": ereal(profile.symbolic_sup),
          "symbolic_limsup": ereal(profile.symbolic_limsup)},
         (),

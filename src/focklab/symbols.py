@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import Inadmissible
+from .errors import Inadmissible, NumericFailure
 
 TOL_SYM = 1e-12
 
@@ -48,6 +48,14 @@ def square(x: float) -> float:
     """x ** 2, reading an overflow as inf instead of raising OverflowError."""
     try:
         return x**2
+    except OverflowError:
+        return math.inf
+
+
+def safe_exp(x: float) -> float:
+    """exp(x), reading an overflow as inf instead of raising OverflowError."""
+    try:
+        return math.exp(x)
     except OverflowError:
         return math.inf
 
@@ -227,22 +235,6 @@ def evaluate(f: EntireFunction, z: complex) -> complex:
     return total
 
 
-def log_abs(f: EntireFunction, z: complex) -> float:
-    """log |f(z)|, overflow-safe; -inf at zeros of f."""
-    if not f.terms:
-        return -math.inf
-    z = complex(z)
-    args = [t.rate * z for t in f.terms]
-    m = max(a.real for a in args)
-    acc = 0j
-    for t, a in zip(f.terms, args):
-        acc += _poly_horner(t.coeffs, z) * cmath.exp(complex(a.real - m, a.imag))
-    mag = abs(acc)
-    if mag == 0.0:
-        return -math.inf
-    return m + math.log(mag)
-
-
 def log_abs_grid(f: EntireFunction, zs: np.ndarray) -> np.ndarray:
     """Vectorized log |f| on an array of complex points."""
     zs = np.asarray(zs, dtype=complex)
@@ -265,6 +257,8 @@ def compose_affine(f: EntireFunction, phi: "AffineMap") -> EntireFunction:
 
     The polynomial part is rebased by iterated multiplication with (b + a z),
     the rate becomes c*a and the constant exp(c*b) folds into the coefficients.
+    A folded coefficient past the float range raises NumericFailure: the
+    inputs were admissible, the arithmetic overflowed.
     """
     a, b = phi.a, phi.b
     terms = []
@@ -277,7 +271,10 @@ def compose_affine(f: EntireFunction, phi: "AffineMap") -> EntireFunction:
             if pk != 0:
                 rebased = _poly_add(rebased, [pk * c for c in power])
         front = _cexp(t.rate * b)
-        terms.append(PolyExpTerm(tuple(front * c for c in rebased), t.rate * a))
+        coeffs = tuple(front * c for c in rebased)
+        if not all(cmath.isfinite(c) for c in coeffs):
+            raise NumericFailure("f(a z + b) has a coefficient beyond the float range")
+        terms.append(PolyExpTerm(coeffs, t.rate * a))
     return EntireFunction(tuple(terms))
 
 

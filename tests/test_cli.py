@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import focklab
 
 from focklab import cli
 from focklab.cli import main
@@ -13,6 +19,15 @@ from focklab.report import Report, ereal, run
 
 
 CHECK_CONFIG = RunConfig(quadrature=QuadratureSpec(abs_tol=1e-9, rel_tol=1e-6))
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def strict_json(text: str):
+    """json.loads that refuses the Infinity and NaN literals."""
+    return json.loads(text, parse_constant=_reject)
 
 
 def test_norm_report():
@@ -89,6 +104,28 @@ def test_cli_exit_codes(capsys):
         assert main(["norm", "--symbol", symbol, "--p", "2"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # exp(conj(w) b) overflows while the operator maps a kernel: exit 3, not 2
+    assert main(["opnorm", "--psi", "1", "--phi", "0.5,1e200", "--p", "2", "--q", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # overflowing annulus suprema are ereal objects, so the report stays JSON
+    assert main(["profile-m", "--psi", "1", "--phi", "0.5,1e200", "--radii", "2,4"]) == 0
+    rows = strict_json(capsys.readouterr().out)["results"]["rows"]
+    assert rows == [[2.0, ereal(math.inf)], [4.0, ereal(math.inf)]]
+
+
+def test_cli_matrix_overflow_prints_one_line():
+    # sqrt(k!) overflows in the matrix build (opnorm with this weight and
+    # order takes the same path after a slow empirical norm); run as a
+    # process so that any numpy warning would reach stderr as for a user
+    argv = ["path", "--kind", "weight", "--phi", "0.5,0", "--psi1", "z^50", "--psi2", "1",
+            "--steps", "1", "--p", "2", "--q", "2", "--matrix-order", "256"]
+    src = str(Path(focklab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", "import sys; from focklab.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -186,6 +223,10 @@ def test_cli_csv_output(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("radius,annulus_sup")
+    # non-finite cells print as bare inf, as before they were JSON objects
+    assert main(["profile-m", "--psi", "1", "--phi", "0.5,1e200", "--radii", "2,4",
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "radius,annulus_sup\n2.0,inf\n4.0,inf\n"
 
 
 def test_path_report_rows():

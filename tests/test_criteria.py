@@ -10,6 +10,7 @@ from focklab.criteria import (
     Verdict,
     annulus_sups,
     classify,
+    decide,
     dilation_compose,
     essential_norm_bracket,
     gauge_at,
@@ -17,7 +18,7 @@ from focklab.criteria import (
     gauge_profile,
 )
 from focklab.errors import HypothesisViolated
-from focklab.fock import gauge_peak
+from focklab.fock import gauge_peak, log_gauge_grid
 from focklab.operators import (
     FamilySpec,
     WeightedCompositionOperator,
@@ -67,17 +68,18 @@ def test_gauge_sup_oracles():
     prof = gauge_profile(unit_leaf_weight(phi, 1.0), phi)
     assert math.isclose(prof.symbolic_sup, math.exp(0.5), rel_tol=1e-12)
     assert math.isclose(prof.symbolic_limsup, math.exp(0.5), rel_tol=1e-12)
-    assert not prof.limsup_exact_zero
+    assert prof.symbolic_limsup > 0.0
 
 
 def test_gauge_limsup_regimes():
     prof = gauge_profile(sy.ONE, AffineMap(0.5, 1.0))
-    assert prof.limsup_exact_zero and prof.symbolic_limsup == 0.0
+    assert prof.symbolic_limsup == 0.0
     assert not any(s > 1e12 for _, s in annulus_sups(sy.ONE, AffineMap(0.5, 1.0)))
 
     prof = gauge_profile(sy.ONE, AffineMap(UNIT, 1.0))
     assert math.isinf(prof.symbolic_limsup)
-    assert prof.witness_direction is not None
+    op = WeightedCompositionOperator(sy.ONE, AffineMap(UNIT, 1.0), 2.0, 2.0)
+    assert decide(op).witness is not None
     assert any(s > 1e12 for _, s in annulus_sups(sy.ONE, AffineMap(UNIT, 1.0)))
 
 
@@ -113,6 +115,38 @@ def _scan_log_sup(psi, phi):
             step /= 20.0
         best = max(best, float(window_values.max()))
     return best
+
+
+def _scan_circle_log_sup(psi, phi, radius):
+    """Brute-force log sup of the gauge on |z| = radius: 2^16 angles, then
+    five zoomed rows of 41 angles around each of the 4 best.  It evaluates
+    ``log_gauge_grid``, so only the search differs from ``annulus_sups``."""
+    step = 2.0 * math.pi / 2**16
+    thetas = step * np.arange(2**16)
+    values = log_gauge_grid(psi, phi, radius * np.exp(1j * thetas))
+    best = -math.inf
+    for theta in thetas[np.argsort(values)[-4:]]:
+        h = step
+        for _ in range(5):
+            window = theta + h * np.linspace(-2.0, 2.0, 41)
+            window_values = log_gauge_grid(psi, phi, radius * np.exp(1j * window))
+            theta = window[int(np.argmax(window_values))]
+            h /= 20.0
+        best = max(best, float(window_values.max()))
+    return best
+
+
+def test_annulus_sups_reach_brute_force_scan(rng):
+    for k in range(12):
+        regime = ("interior", "unit", "zero")[k % 3]
+        phi = random_affine(rng, regime=regime)
+        psi = random_entire_function(rng, max_terms=3, max_degree=3, rate_radius=1.5)
+        # radii where the gauge is neither 0 nor inf in floating point
+        radii = (1.0, 8.0, 64.0, 128.0) if regime == "unit" else (1.0, 3.0, 8.0, 20.0)
+        for r, s in annulus_sups(psi, phi, radii):
+            scan = math.exp(_scan_circle_log_sup(psi, phi, r))
+            assert s >= scan * (1 - 1e-12)
+            assert math.isclose(s, scan, rel_tol=1e-12)
 
 
 def test_numeric_matches_symbolic_sup(rng):

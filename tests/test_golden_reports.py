@@ -40,8 +40,14 @@ CASES = [
 ]
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def _render(command: str, options: dict) -> str:
-    return run(command, dict(options), CONFIG).to_json()
+    text = run(command, dict(options), CONFIG).to_json()
+    json.loads(text, parse_constant=_reject)  # no Infinity or NaN literal
+    return text
 
 
 def _golden() -> list[dict]:
