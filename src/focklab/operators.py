@@ -22,8 +22,8 @@ import numpy as np
 from . import symbols
 from .config import parallel_map
 from .errors import NumericFailure, TailLoss, ZeroSymbol
-from .fock import fock_norm, gauge_peak, kernel, magnitude_power_integrand
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, gaussian_integral, polar_grid
+from .fock import NormValue, exp_matrix, fock_norm, gauge_peak, kernel, norm_power
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, polar_grid
 from .symbols import AffineMap, EntireFunction, validate_fock_index
 
 _TAIL_FRACTION = 1e-6
@@ -59,7 +59,7 @@ def berezin(op: WeightedCompositionOperator, w: complex,
     image = op.apply(kernel(w))
     if image.is_zero:
         return 0.0
-    return gaussian_integral(magnitude_power_integrand(image, op.q), op.q, spec or DEFAULT_SPEC).value
+    return norm_power(image, op.q, spec).value
 
 
 @dataclass(frozen=True)
@@ -83,21 +83,16 @@ def _normalized_coefficients(terms: list[tuple[complex, np.ndarray]], order: int
     Each (c, Q) pair holds a rate and raw polynomial coefficients, Q[m, j]
     the coefficient of z^m in function j of the ``width`` in the batch.  The
     coefficient of z^n / sqrt(n!) is
-        sum_m Q[m, j] sqrt(m!) K[n, m],   K[n, m] = c^{n-m} sqrt(n!/m!) / (n-m)!,
-    with K built by the stable multiplicative recurrence
-    K[n + 1, m] = K[n, m] c sqrt(n + 1) / (n + 1 - m), one cumulative product
-    over n for all m.  Returns the first ``order`` coefficients of each
-    function (one per column) and each function's tail fraction.
+        sum_m Q[m, j] sqrt(m!) K[n, m],   K = fock.exp_matrix(c, ...).
+    Returns the first ``order`` coefficients of each function (one per
+    column) and each function's tail fraction.
     """
     extended = order + _EXTENSION
     alpha = np.zeros((extended, width), dtype=complex)
     ratio = np.zeros(width)
-    n = np.arange(extended)[:, None]
     for rate, raw in terms:
         m = np.arange(raw.shape[0])
-        gap = n - m
-        steps = np.where(gap > 0, rate * np.sqrt(n) / np.maximum(gap, 1), 1.0)
-        kernel = np.tril(np.cumprod(steps, axis=0))
+        kernel = exp_matrix(rate, extended, raw.shape[0])
         # sqrt(k!) overflows past k ~ 300; matrix_sigma_max reports the
         # non-finite entries, so numpy's warnings would only repeat that
         with np.errstate(over="ignore", invalid="ignore"):
@@ -199,21 +194,29 @@ class FamilySpec:
 DEFAULT_FAMILY = FamilySpec()
 
 
+def _lower_ratio(image: NormValue, norm: NormValue) -> float:
+    """The lower side of ||image||_q / ||f||_p under both error estimates."""
+    return max(image.value - image.error_estimate, 0.0) / (norm.value + norm.error_estimate)
+
+
+_UNIT = NormValue(1.0, 0.0)
+
+
 def _family_sup(image_norm, p: float, family: FamilySpec,
                 spec: QuadratureSpec,
                 extra_centers: Sequence[complex] = ()) -> float:
-    """max over the family of ||image(f)||_q / ||f||_p; kernels have unit p-norm."""
+    """max over the family of the lower side of ||image(f)||_q / ||f||_p;
+    kernels have unit p-norm."""
     centers = list(polar_grid(family.kernel_radius, family.kernel_radii, family.kernel_angles,
                               include_origin=True))
     centers += list(extra_centers)
 
     def kernel_ratio(w: complex) -> float:
-        return image_norm(kernel(w))
+        return _lower_ratio(image_norm(kernel(w)), _UNIT)
 
     def monomial_ratio(n: int) -> float:
         f = symbols.monomial(n)
-        denominator = fock_norm(f, p, spec).value
-        return image_norm(f) / denominator
+        return _lower_ratio(image_norm(f), fock_norm(f, p, spec))
 
     ratios = parallel_map(kernel_ratio, [complex(w) for w in centers])
     ratios += parallel_map(monomial_ratio, list(range(family.monomial_degree + 1)))
@@ -245,8 +248,8 @@ def empirical_norm(op: WeightedCompositionOperator, family: FamilySpec | None = 
     family = family or DEFAULT_FAMILY
     spec = spec or DEFAULT_SPEC
 
-    def image_norm(f: EntireFunction) -> float:
-        return fock_norm(op.apply(f), op.q, spec).value
+    def image_norm(f: EntireFunction) -> NormValue:
+        return fock_norm(op.apply(f), op.q, spec)
 
     return _family_sup(image_norm, op.p, family, spec,
                        extra_centers=_gauge_witness_centers(op, family))
@@ -262,7 +265,7 @@ def empirical_distance(first: WeightedCompositionOperator,
     family = family or DEFAULT_FAMILY
     spec = spec or DEFAULT_SPEC
 
-    def image_norm(f: EntireFunction) -> float:
-        return fock_norm(symbols.sub(first.apply(f), second.apply(f)), first.q, spec).value
+    def image_norm(f: EntireFunction) -> NormValue:
+        return fock_norm(symbols.sub(first.apply(f), second.apply(f)), first.q, spec)
 
     return _family_sup(image_norm, first.p, family, spec)

@@ -115,6 +115,8 @@ def _tail_bound(envelope: GrowthEnvelope, s: float, radius: float) -> float:
     """
     total = 0.0
     for t in envelope.terms:
+        if t.amplitude == 0.0:  # a p-th power that underflowed bounds no tail
+            continue
         beta = s / 2.0 - t.curvature
         if t.degree / (1.0 + radius) + 1.0 / radius > beta * radius / 2.0:
             return math.inf

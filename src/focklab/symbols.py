@@ -27,6 +27,9 @@ from .errors import Inadmissible, NumericFailure
 TOL_SYM = 1e-12
 
 _LOG_OVERFLOW = 709.0
+# twice the unit roundoff: a sum of n + 1 terms errs by less than n * _EPS times
+# the sum of their moduli
+_EPS = 2.0**-52
 
 
 def _check_finite(w: complex, what: str) -> complex:
@@ -110,21 +113,25 @@ def _canonical(terms: Iterable[PolyExpTerm]) -> tuple[PolyExpTerm, ...]:
         items.append((t.rate, list(t.coeffs)))
     items.sort(key=lambda it: (it[0].real, it[0].imag))
 
-    merged: list[tuple[complex, list[complex]]] = []
+    # per merged rate: coefficients, the sums of the summands' moduli, and
+    # the number of summands
+    merged: list[tuple[complex, list[complex], list[float], int]] = []
     for rate, coeffs in items:
+        moduli = [abs(c) for c in coeffs]
         if merged and abs(rate - merged[-1][0]) <= TOL_SYM * max(1.0, abs(rate), abs(merged[-1][0])):
-            merged[-1] = (merged[-1][0], _poly_add(merged[-1][1], coeffs))
+            first, acc, acc_moduli, count = merged[-1]
+            merged[-1] = (first, _poly_add(acc, coeffs), _poly_add(acc_moduli, moduli), count + 1)
         else:
-            merged.append((rate, coeffs))
+            merged.append((rate, coeffs, moduli, 1))
 
+    # a trailing coefficient goes only when it is zero or within the
+    # rounding error of the sum that merged it: z^k carries norm about
+    # sqrt(k!), so a small top coefficient can hold much of the norm
     out = []
-    for rate, coeffs in merged:
-        scale = max(abs(c) for c in coeffs)
-        if scale == 0.0:
-            continue
-        cut = TOL_SYM * scale
+    for rate, coeffs, moduli, count in merged:
+        noise = (count - 1) * _EPS
         k = len(coeffs)
-        while k > 0 and abs(coeffs[k - 1]) <= cut:
+        while k > 0 and abs(coeffs[k - 1]) <= noise * moduli[k - 1]:
             k -= 1
         if k:
             out.append(PolyExpTerm(tuple(coeffs[:k]), rate))

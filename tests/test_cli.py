@@ -1,5 +1,7 @@
 """Report contract and CLI wiring."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,13 +10,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import focklab
 
 from focklab import cli
+from focklab import symbols as sy
 from focklab.cli import main
 from focklab.config import RunConfig
-from focklab.quadrature import QuadratureSpec
+from focklab.errors import FocklabError
+from focklab.fock import magnitude_power_integrand
+from focklab.parsing import parse_symbol
+from focklab.quadrature import QuadratureSpec, gaussian_integral
 from focklab.report import Report, ereal, run
 
 
@@ -88,8 +95,12 @@ def test_cli_exit_codes(capsys):
     # essential-norm hypothesis violation exits 2
     assert main(["essnorm", "--psi", "1", "--phi", "1,0", "--p", "0.5", "--q", "2"]) == 2
 
-    # truncation tail cannot be controlled inside a tiny radius cap: exits 3
-    assert main(["norm", "--symbol", "exp(4*z)", "--p", "2", "--max-radius", "6"]) == 3
+    # truncation tail cannot be controlled inside a tiny radius cap: exits 3;
+    # at even p the closed form needs no radius
+    assert main(["norm", "--symbol", "exp(4*z)", "--p", "3", "--max-radius", "6"]) == 3
+    assert main(["norm", "--symbol", "exp(4*z)", "--p", "2", "--max-radius", "6"]) == 0
+    value = json.loads(capsys.readouterr().out)["results"]["value"]
+    assert math.isclose(value, math.exp(8.0), rel_tol=1e-14)
 
     # |c|^p overflows but ||c||_p = |c| does not: the homogeneous norm is exact
     assert main(["norm", "--symbol", "exp(709.5)", "--p", "2"]) == 0
@@ -99,6 +110,13 @@ def test_cli_exit_codes(capsys):
     assert main(["norm", "--symbol", "1.9", "--p", "1000"]) == 0
     value = json.loads(capsys.readouterr().out)["results"]["value"]
     assert math.isclose(value, 1.9, rel_tol=1e-12)
+    # |c|^p underflows: the amplitude is divided out too, and where |f|^p
+    # still underflows inside the integral the estimate spans the gap
+    z_norm = math.exp(math.lgamma(501.0) / 1000.0) * math.sqrt(2.0 / 1000.0)
+    for c in (0.5, 0.3, 1e-300):
+        assert main(["norm", "--symbol", f"{c!r}*z", "--p", "1000"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert abs(results["value"] - c * z_norm) <= results["error_estimate"]
     # a norm, or a coefficient sum, beyond the float range exits 3 with one line
     for symbol in ("exp(709.7)*exp(z)", "exp(709.5)+exp(709.5)*z"):
         assert main(["norm", "--symbol", symbol, "--p", "2"]) == 3
@@ -115,17 +133,18 @@ def test_cli_exit_codes(capsys):
 
 
 def test_cli_matrix_overflow_prints_one_line():
-    # sqrt(k!) overflows in the matrix build (opnorm with this weight and
-    # order takes the same path after a slow empirical norm); run as a
-    # process so that any numpy warning would reach stderr as for a user
-    argv = ["path", "--kind", "weight", "--phi", "0.5,0", "--psi1", "z^50", "--psi2", "1",
-            "--steps", "1", "--p", "2", "--q", "2", "--matrix-order", "256"]
+    # sqrt(k!) overflows in the matrix build (opnorm reaches it after its
+    # empirical norm, whose p = 2 norms the exact route sums in closed form);
+    # run as a process so that any numpy warning would reach stderr as for a user
+    weight = ["--phi", "0.5,0", "--p", "2", "--q", "2", "--matrix-order", "256"]
     src = str(Path(focklab.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", "import sys; from focklab.cli import main; "
-                           "sys.exit(main(sys.argv[1:]))", *argv],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == 3
-    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    for argv in (["path", "--kind", "weight", "--psi1", "z^50", "--psi2", "1", "--steps", "1"],
+                 ["opnorm", "--psi", "z^50"]):
+        done = subprocess.run([sys.executable, "-c", "import sys; from focklab.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv, *weight],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -275,3 +294,49 @@ def test_diff_component_isolated_reports():
     isolated = run("isolated", {"phi": "1,0", "p": 2.0, "q": 2.0}, CHECK_CONFIG)
     assert isolated.results["isolated"] is True
     assert isolated.citations
+
+
+_unit = st.floats(-1.0, 1.0)
+# rates stay within 0.25 + 0.25i: at p = 1000 a rate near 1 keeps the
+# quadrature busy for minutes (a fault listed in CHANGES.md)
+_rate = st.floats(-0.25, 0.25)
+# a term exp(x) (re + im i) z^d exp((u + v i) z): coefficients up to e^709
+_term = st.tuples(st.floats(-5.0, 709.0), _unit, _unit, st.integers(0, 3), _rate, _rate)
+
+
+def _symbol_text(terms) -> str:
+    return " + ".join(f"exp({x!r})*({re!r}+({im!r})*i)*z^{d}*exp(({u!r}+({v!r})*i)*z)"
+                      for x, re, im, d, u, v in terms)
+
+
+def _engine_norm(f, p: float) -> tuple[float, float]:
+    """The quadrature engine alone, inside fock_norm's amplitude scaling."""
+    amp = sy.envelope_majorant(f)[0]
+    exponent = max(math.ceil(math.log2(amp)), -1023) if abs(p * math.log(amp)) > 600.0 else 0
+    res = gaussian_integral(magnitude_power_integrand(sy.scale(f, 2.0**-exponent), p), p)
+    value = res.value ** (1.0 / p)
+    return math.ldexp(value, exponent), math.ldexp(value * res.error_estimate / (p * res.value), exponent)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(_term, min_size=1, max_size=3),
+       st.sampled_from([2.0, 4.0, 6.0, 0.5, 1.5, 2.5, 1000.0]))
+def test_norm_command_exit_contract(terms, p):
+    text = _symbol_text(terms)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["norm", "--symbol", text, "--p", repr(p)])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    results = json.loads(out.getvalue())["results"]
+    f = parse_symbol(text)
+    if p > 6.0 or p % 2.0 or f.is_zero:
+        return
+    try:
+        value, estimate = _engine_norm(f, p)
+    except (FocklabError, OverflowError, ZeroDivisionError):
+        return  # the engine does not return here; the exact route did
+    slack = results["error_estimate"] + estimate + 8 * math.ulp(value)
+    assert abs(results["value"] - value) <= slack

@@ -7,7 +7,7 @@ import pytest
 
 from focklab import quadrature
 from focklab.errors import TailNotDominated, ToleranceNotMet
-from focklab.fock import fock_norm, kernel, magnitude_power_integrand
+from focklab.fock import kernel, magnitude_power_integrand
 from focklab.parsing import parse_symbol
 from focklab.quadrature import (
     GrowthEnvelope,
@@ -128,6 +128,6 @@ def test_no_panel_is_evaluated_twice(monkeypatch):
         return panel(self, r0, r1)
 
     monkeypatch.setattr(quadrature._RadialIntegrator, "panel", recording_panel)
-    norm = fock_norm(parse_symbol("z^2*exp(0.5*z) + 3*z"), 2.0)
-    assert norm.truncation_radius == 16.0
+    integrand = magnitude_power_integrand(parse_symbol("z^2*exp(0.5*z) + 3*z"), 2.0)
+    assert gaussian_integral(integrand, 2.0).truncation_radius == 16.0
     assert seen and len(seen) == len(set(seen))

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from focklab import symbols as sy
-from focklab.fock import kernel
+from focklab.fock import fock_norm, kernel, magnitude_power_integrand
+from focklab.parsing import parse_symbol
+from focklab.quadrature import gaussian_integral
 from focklab.sampling import random_complex, random_entire_function
 from focklab.symbols import AffineMap, EntireFunction, PolyExpTerm
 
@@ -43,6 +45,22 @@ def test_mul_merges_rates():
     assert len(f.terms) == 1
     assert f.terms[0].coeffs == (0j, 1 + 0j)
     assert f.terms[0].rate == 1 + 0j
+
+
+@pytest.mark.parametrize("a", [0.2, 0.3, 0.5 - 0.4j])
+def test_binomial_powers_keep_every_coefficient(a):
+    # ||(a z + 1)^n||_2^2 = sum_k C(n, k)^2 |a|^{2k} k!: the top coefficients
+    # a^k are tiny but z^k carries norm sqrt(k!), so none may be trimmed
+    for n in (5, 12, 27, 40):
+        f = parse_symbol(f"(({a.real}+{a.imag}i)*z+1)^{n}" if isinstance(a, complex)
+                         else f"({a}*z+1)^{n}")
+        assert f.degree == n
+        exact = math.sqrt(math.fsum(math.comb(n, k) ** 2 * abs(a) ** (2 * k) * math.factorial(k)
+                                    for k in range(n + 1)))
+        norm = fock_norm(f, 2.0)
+        assert abs(norm.value - exact) <= norm.error_estimate + 1e-14 * exact
+        quad = gaussian_integral(magnitude_power_integrand(f, 2.0), 2.0)
+        assert abs(math.sqrt(quad.value) - exact) <= quad.error_estimate / exact + 1e-14 * exact
 
 
 def test_differentiate_kernel_is_rate_multiple():
