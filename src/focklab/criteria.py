@@ -30,6 +30,7 @@ plane norm) comes from the one vectorized formula ``fock.log_gauge_grid``.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import symbols
 from .errors import HypothesisViolated, TailNotDominated
-from .fock import fock_norm, gauge_at, gauge_peak, log_gauge_grid
+from .fock import cusp_points, fock_norm, gauge_at, gauge_peak, log_gauge_grid
 from .operators import FamilySpec, WeightedCompositionOperator, empirical_norm
 from .quadrature import (
     DEFAULT_SPEC,
@@ -158,8 +159,12 @@ def gauge_plane_norm(psi: EntireFunction, phi: AffineMap, p: float, q: float,
     s = p * q / (p - q)
     a, b = phi.a, phi.b
     amp, degree, rate = symbols.envelope_majorant(psi)
+    try:
+        amp_s = amp**s
+    except OverflowError:  # the tail bound then reads inf, and the engine refuses
+        amp_s = math.inf
     envelope = GrowthEnvelope.single(
-        amplitude=(amp**s) * math.exp(min(s * symbols.square(abs(b)) / 2.0, 700.0)),
+        amplitude=amp_s * math.exp(min(s * symbols.square(abs(b)) / 2.0, 700.0)),
         degree=degree * s,
         rate=s * (rate + abs(a * b)),
         curvature=s * (abs(a) ** 2 - 1.0) / 2.0,
@@ -170,12 +175,13 @@ def gauge_plane_norm(psi: EntireFunction, phi: AffineMap, p: float, q: float,
         envelope=envelope,
         angular_degree=s * degree,
         angular_rate=s * (rate + abs(a * b)),
+        cusps=functools.partial(cusp_points, psi, s),
     )
     try:
         result = plane_integral(integrand, spec or DEFAULT_SPEC)
     except TailNotDominated:
         return math.inf
-    return result.value ** (1.0 / s)
+    return result.value ** (1.0 / s) * symbols.safe_exp(result.log_scale / s)
 
 
 class Verdict(str, Enum):
@@ -271,7 +277,7 @@ def classify(op: WeightedCompositionOperator,
         # the gauge sup can equal the bound exactly (kernel-type weights), so
         # the quadrature-based upper side carries its certified error
         norm_psi = fock_norm(psi, q, spec)
-        upper = symbols.safe_exp(abs(phi.b) ** 2 / 2.0) * (norm_psi.value + norm_psi.error_estimate)
+        upper = symbols.safe_exp(symbols.square(abs(phi.b)) / 2.0) * (norm_psi.value + norm_psi.error_estimate)
         m = min(gauge_profile(psi, phi).symbolic_sup, sys.float_info.max)
         return Classification(Verdict.COMPACT, None, m, upper, 0.0, 0.0, None, decision.rules)
 

@@ -12,17 +12,29 @@ which yields a rigorous truncation-tail bound by completing the square.
 A curvature term C_j >= s/2 means the integral diverges (TailNotDominated).
 
 Angular node counts follow the oscillation bound of |exp(cz)|^p on |z| = r,
-whose scale is p|c|r; the count is adaptively doubled when the nested
-coarse/fine angular estimate shows the bound was not enough (this happens
-for fractional powers near zeros of the integrand, where the rule is no
-longer spectrally accurate).
+whose scale is p|c|r.  The equispaced rule is spectrally accurate only for
+smooth integrands; at a zero z0 of f, |f|^p has the algebraic cusp
+|z - z0|^{pm} (m the multiplicity), where it converges only algebraically
+and its nested coarse/fine estimate falls short of the error.  So an
+integrand names its cusps (``PolarIntegrand.cusps``): every radial panel
+then cuts its circle at the cusp angles and integrates each arc with a
+trapezoid rule after a sin^4 substitution (Sidi 1993) that grades the
+nodes toward both ends, and every cusp modulus is a radial panel edge.  The
+coarse/fine estimate is then honest again.  An integrand without cusps runs
+the equispaced rule alone.  Either way, when the angular estimate misses
+its share of the tolerance, the node counts of every panel double and the
+radial pass reruns.
+
+An integrand that peaks beyond exp(+-_LOG_RANGE) on the first pass's base
+panels (|f|^p at p = 1000, say) is integrated in units of that peak, which
+``IntegralResult.log_scale`` carries back to the caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +46,12 @@ _MAX_DEPTH = 48
 _MAX_ANGULAR_MULT = 64
 _ANGULAR_CAP = 1 << 14
 _ANGULAR_MIN_NODES = 64
+# nodes of a graded arc: at least _ARC_MIN_NODES, else _ARC_SHARE times the
+# arc's share of the equispaced count
+_ARC_MIN_NODES = 32
+_ARC_SHARE = 2.0
+# an integrand peaking beyond exp(+-_LOG_RANGE) is integrated in units of its peak
+_LOG_RANGE = 600.0
 # Gauss-Legendre rule of each radial panel
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
@@ -55,16 +73,23 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 
-# for checks where the integrand may have fractional-power cusps at zeros;
-# the tight default would burn the refinement budget there
+# looser settings for checks that integrate many random symbols
 CHECK_SPEC = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-6)
 
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """An integral and its error estimate, both in units of exp(log_scale).
+
+    ``log_scale`` is 0 unless the integrand peaks beyond exp(+-_LOG_RANGE),
+    where the engine integrates g / exp(peak) instead and the spec's
+    ``abs_tol`` applies to that.
+    """
+
     value: float
     error_estimate: float
     truncation_radius: float
+    log_scale: float = 0.0
 
     def __post_init__(self):
         if self.error_estimate < 0:
@@ -97,16 +122,20 @@ class PolarIntegrand:
 
     ``angular_degree`` and ``angular_rate`` bound the angular oscillation of g
     on |z| = r by degree + rate * r (callers fold any power p into both).
+    ``cusps`` maps a truncation radius to the points off the origin inside it
+    where g has an algebraic cusp (|z - z0|^e, e not an even integer) that
+    the periodic angular rule would resolve only slowly.
     """
 
     log_magnitude: Callable[[np.ndarray], np.ndarray]
     envelope: GrowthEnvelope
     angular_degree: float = 0.0
     angular_rate: float = 0.0
+    cusps: Callable[[float], Sequence[complex]] | None = None
 
 
-def _tail_bound(envelope: GrowthEnvelope, s: float, radius: float) -> float:
-    """Rigorous bound on the dA-integral of env(|z|) e^{-s|z|^2/2} beyond radius.
+def _tail_bound(envelope: GrowthEnvelope, s: float, radius: float, shift: float) -> float:
+    """Rigorous bound on the dA-integral of env(|z|) e^{-s|z|^2/2 - shift} beyond radius.
 
     Per term, completing the square in K r - beta r^2 (beta = s/2 - C) gives
        2 pi * (2 A / beta) e^{K^2/(2 beta)} (1+R)^d e^{-beta R^2 / 2},
@@ -126,12 +155,12 @@ def _tail_bound(envelope: GrowthEnvelope, s: float, radius: float) -> float:
             + t.degree * math.log1p(radius)
             - beta * radius**2 / 2.0
         )
-        total += math.exp(min(log_term, 700.0))
+        total += math.exp(min(log_term - shift, 700.0))
     return 2.0 * math.pi * total
 
 
 def _choose_radius(envelope: GrowthEnvelope, s: float, prefactor: float,
-                   spec: QuadratureSpec) -> tuple[float, float]:
+                   spec: QuadratureSpec, shift: float) -> tuple[float, float]:
     """Doubling search for the smallest radius whose tail bound is below abs_tol/2."""
     for t in envelope.terms:
         if s / 2.0 - t.curvature <= 0:
@@ -140,7 +169,7 @@ def _choose_radius(envelope: GrowthEnvelope, s: float, prefactor: float,
             )
     radius = 2.0
     while True:
-        tail = prefactor * _tail_bound(envelope, s, radius)
+        tail = prefactor * _tail_bound(envelope, s, radius, shift)
         if tail <= spec.abs_tol / 2.0:
             return radius, tail
         if radius >= spec.max_radius:
@@ -163,12 +192,45 @@ def _angular_count(integrand: PolarIntegrand, r: float, mult: int) -> int:
     return n + (n % 2)
 
 
+def _graded_arcs(angles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angular nodes and fine / coarse weights on the circle cut at ``angles``.
+
+    Each arc [alpha, alpha + L] takes the trapezoid rule after Sidi's sin^4
+    substitution theta = alpha + L psi(t), psi' = (8/3) sin^4(pi t), which
+    grades the nodes toward both ends: a cusp |theta - alpha|^e there becomes
+    t^{5e + 4} and the rule converges like h^{5e + 5}.  The middle of an arc
+    is 8/3 times sparser than an equispaced rule with as many nodes, so each
+    arc takes _ARC_SHARE times its share of the equispaced count n, whose
+    margin covers the rest.  The coarse rule is every other node.
+    """
+    ends = np.append(angles, angles[0] + 2.0 * np.pi)
+    thetas, fine, coarse = [], [], []
+    for alpha, length in zip(ends[:-1], np.diff(ends)):
+        count = max(_ARC_MIN_NODES, int(math.ceil(_ARC_SHARE * n * length / (2.0 * np.pi))))
+        count += count % 2
+        j = np.arange(1, count)
+        t = j / count
+        thetas.append(alpha + length * (t - np.sin(2.0 * np.pi * t) * (2.0 / (3.0 * np.pi))
+                                        + np.sin(4.0 * np.pi * t) / (12.0 * np.pi)))
+        weight = length * (8.0 / 3.0) * np.sin(np.pi * t) ** 4 / count
+        fine.append(weight)
+        coarse.append(np.where(j % 2 == 0, 2.0 * weight, 0.0))
+    return np.concatenate(thetas), np.concatenate(fine), np.concatenate(coarse)
+
+
 class _RadialIntegrator:
-    def __init__(self, integrand: PolarIntegrand, s: float, mult: int):
+    def __init__(self, integrand: PolarIntegrand, s: float, mult: int,
+                 cusp_angles: np.ndarray, shift: float):
         self.integrand = integrand
         self.s = s
         self.mult = mult
+        self.cusp_angles = cusp_angles
+        self.shift = shift
         self.evals = 0
+        # the largest log value seen while watch_peak is set
+        self.watch_peak = False
+        self.peak = -math.inf
+        self._arcs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def panel(self, r0: float, r1: float) -> tuple[float, float]:
         """(integral over [r0, r1], angular error estimate), both including dtheta."""
@@ -177,33 +239,62 @@ class _RadialIntegrator:
         r = r0 + half * (_NODES + 1.0)
         w = half * _WEIGHTS
         n = _angular_count(self.integrand, r1, self.mult)
-        theta = 2.0 * np.pi * np.arange(n) / n
+        if self.cusp_angles.size:
+            if n not in self._arcs:
+                self._arcs[n] = _graded_arcs(self.cusp_angles, n)
+            theta, fine_w, coarse_w = self._arcs[n]
+        else:
+            theta = 2.0 * np.pi * np.arange(n) / n
         zs = r[:, None] * np.exp(1j * theta)[None, :]
-        logg = self.integrand.log_magnitude(zs)
-        with np.errstate(over="ignore"):
-            vals = np.exp(logg - (self.s * r * r / 2.0)[:, None])
-        fine = vals.mean(axis=1) * (2.0 * np.pi)
-        coarse = vals[:, ::2].mean(axis=1) * (2.0 * np.pi)
-        value = float(np.dot(w, fine * r))
-        ang_err = float(np.dot(w, np.abs(fine - coarse) * r))
+        logs = self.integrand.log_magnitude(zs) - (self.s * r * r / 2.0)[:, None]
+        if self.watch_peak:
+            self.peak = max(self.peak, float(np.max(logs)))
+        # an overflow (inf, or inf - inf) fails the accept tests downstream
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.exp(logs - self.shift if self.shift else logs)
+            if self.cusp_angles.size:
+                fine, coarse = vals @ fine_w, vals @ coarse_w
+            else:
+                fine = vals.mean(axis=1) * (2.0 * np.pi)
+                coarse = vals[:, ::2].mean(axis=1) * (2.0 * np.pi)
+            value = float(np.dot(w, fine * r))
+            ang_err = float(np.dot(w, np.abs(fine - coarse) * r))
         return value, ang_err
 
 
+class _OutOfRange(Exception):
+    """The first pass's base panels peak at exp(peak), beyond the float range."""
+
+    def __init__(self, peak: float):
+        super().__init__(peak)
+        self.peak = peak
+
+
 def _adaptive_radial(integrand: PolarIntegrand, s: float, radius: float, mult: int,
-                     spec: QuadratureSpec, prefactor: float,
-                     budget: float | None) -> tuple[float, float, float, bool, float]:
+                     spec: QuadratureSpec, prefactor: float, budget: float | None,
+                     cusps: Sequence[complex],
+                     shift: float) -> tuple[float, float, float, bool, float]:
     """Adaptive bisection on [0, radius] with per-panel accept/split control.
 
     A pass without a ``budget`` (the first one) takes the scale of its
-    relative-tolerance budget from the sum of its base panels.  Returns
-    (value, radial error, angular error, budget_exhausted, budget), all
-    without the prefactor.
+    relative-tolerance budget from the sum of its base panels, and raises
+    _OutOfRange when an unshifted integrand peaks beyond exp(+-_LOG_RANGE)
+    there.  Every cusp modulus is a panel edge.  Returns (value, radial
+    error, angular error, budget_exhausted, budget), all without the
+    prefactor and in units of exp(shift).
     """
-    engine = _RadialIntegrator(integrand, s, mult)
+    angles = np.unique(np.mod(np.angle(cusps), 2.0 * np.pi)) if cusps else np.empty(0)
+    engine = _RadialIntegrator(integrand, s, mult, angles, shift)
+    engine.watch_peak = budget is None and shift == 0.0
     base = max(4, min(48, int(math.ceil(radius / 2.0))))
     edges = np.linspace(0.0, radius, base + 1)
+    if cusps:
+        edges = np.unique(np.concatenate((edges, np.abs(cusps))))
     stack = [(edges[i], edges[i + 1], *engine.panel(edges[i], edges[i + 1]), 0)
-             for i in range(base)]
+             for i in range(edges.size - 1)]
+    engine.watch_peak = False
+    if engine.peak > _LOG_RANGE or -math.inf < engine.peak < -_LOG_RANGE:
+        raise _OutOfRange(engine.peak)
     if budget is None:
         scale = prefactor * sum(panel[2] for panel in stack)
         budget = max(spec.abs_tol, spec.rel_tol * abs(scale)) / 2.0 / prefactor
@@ -233,14 +324,15 @@ def _adaptive_radial(integrand: PolarIntegrand, s: float, radius: float, mult: i
     return value, radial_err, ang_err, exhausted, budget
 
 
-def _integrate(integrand: PolarIntegrand, s: float, prefactor: float,
-               spec: QuadratureSpec) -> IntegralResult:
-    radius, tail = _choose_radius(integrand.envelope, s, prefactor, spec)
+def _integrate_shifted(integrand: PolarIntegrand, s: float, prefactor: float,
+                      spec: QuadratureSpec, shift: float) -> IntegralResult:
+    radius, tail = _choose_radius(integrand.envelope, s, prefactor, spec, shift)
+    cusps = tuple(integrand.cusps(radius)) if integrand.cusps else ()
     budget = None
     mult = 1
     while True:
         value, radial_err, ang_err, exhausted, budget = _adaptive_radial(
-            integrand, s, radius, mult, spec, prefactor, budget
+            integrand, s, radius, mult, spec, prefactor, budget, cusps, shift
         )
         value *= prefactor
         radial_err *= prefactor
@@ -259,7 +351,17 @@ def _integrate(integrand: PolarIntegrand, s: float, prefactor: float,
         raise ToleranceNotMet(
             f"error estimate {error:g} exceeds tolerance {tol:g} (value {value:g})"
         )
-    return IntegralResult(value, error, radius)
+    return IntegralResult(value, error, radius, shift)
+
+
+def _integrate(integrand: PolarIntegrand, s: float, prefactor: float,
+               spec: QuadratureSpec) -> IntegralResult:
+    try:
+        return _integrate_shifted(integrand, s, prefactor, spec, 0.0)
+    except _OutOfRange as exc:
+        if not math.isfinite(exc.peak):
+            raise ToleranceNotMet(f"log of the integrand reaches {exc.peak} on the base panels") from None
+        return _integrate_shifted(integrand, s, prefactor, spec, exc.peak)
 
 
 def gaussian_integral(integrand: PolarIntegrand, s: float,

@@ -30,6 +30,16 @@ _LOG_OVERFLOW = 709.0
 # twice the unit roundoff: a sum of n + 1 terms errs by less than n * _EPS times
 # the sum of their moduli
 _EPS = 2.0**-52
+# np.roots returns an m-fold root as a cluster of width about eps^{1/m}; roots
+# this close, relatively, are one root
+_ROOT_CLUSTER = 1e-4
+# zeros of several terms: Newton's method from the local minima of log|f| on
+# a square grid of _ZERO_GRID cells a side, checked against the argument
+# principle on at most _WINDING_MAX_NODES points of the circle
+_ZERO_GRID = 64
+_ZERO_GRID_MAX = 512
+_NEWTON_STEPS = 60
+_WINDING_MAX_NODES = 1 << 16
 
 
 def _check_finite(w: complex, what: str) -> complex:
@@ -242,21 +252,113 @@ def evaluate(f: EntireFunction, z: complex) -> complex:
     return total
 
 
+def _scaled_values(f: EntireFunction, zs: np.ndarray,
+                   m: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(m, acc) with f(zs) = e^m acc, m the largest Re(rate z) unless given."""
+    exponents = [t.rate * zs for t in f.terms]
+    if m is None:
+        m = exponents[0].real
+        for e in exponents[1:]:
+            m = np.maximum(m, e.real)
+    acc = np.zeros(zs.shape, dtype=complex)
+    for t, e in zip(f.terms, exponents):
+        poly = np.polynomial.polynomial.polyval(zs, np.asarray(t.coeffs))
+        acc += poly * np.exp((e.real - m) + 1j * e.imag)
+    return m, acc
+
+
 def log_abs_grid(f: EntireFunction, zs: np.ndarray) -> np.ndarray:
     """Vectorized log |f| on an array of complex points."""
     zs = np.asarray(zs, dtype=complex)
     if not f.terms:
         return np.full(zs.shape, -np.inf)
-    exponents = [t.rate * zs for t in f.terms]
-    m = exponents[0].real
-    for e in exponents[1:]:
-        m = np.maximum(m, e.real)
-    acc = np.zeros(zs.shape, dtype=complex)
-    for t, e in zip(f.terms, exponents):
-        poly = np.polynomial.polynomial.polyval(zs, np.asarray(t.coeffs))
-        acc += poly * np.exp((e.real - m) + 1j * e.imag)
+    m, acc = _scaled_values(f, zs)
     with np.errstate(divide="ignore"):
         return m + np.log(np.abs(acc))
+
+
+def _winding_number(f: EntireFunction, radius: float) -> int | None:
+    """The number of zeros of f in |z| < radius (argument principle), or None
+    where the argument of f turns too fast on the circle to be followed."""
+    n = 1 << max(6, math.ceil(math.log2(16.0 * (1.0 + f.degree + f.max_rate * radius))))
+    while n <= _WINDING_MAX_NODES:
+        zs = radius * np.exp(2j * np.pi * np.arange(n + 1) / n)
+        _, acc = _scaled_values(f, zs)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero on the circle
+            turns = np.angle(acc[1:] / acc[:-1])
+        if np.all(np.abs(turns) < np.pi / 2.0):
+            return round(float(np.sum(turns)) / (2.0 * np.pi))
+        n *= 2
+    return None
+
+
+def _newton_zeros(f: EntireFunction, radius: float, cells: int) -> list[complex]:
+    """Zeros reached by Newton's method from the local minima of log|f| on a
+    square grid of cells x cells over the disc, each once."""
+    h = 2.0 * radius / cells
+    axis = np.linspace(-radius - h, radius + h, cells + 3)
+    grid = axis[None, :] + 1j * axis[:, None]
+    logs = log_abs_grid(f, grid)
+    centre = logs[1:-1, 1:-1]
+    lowest = np.ones(centre.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                lowest &= centre <= logs[1 + di:logs.shape[0] - 1 + di, 1 + dj:logs.shape[1] - 1 + dj]
+    zs = grid[1:-1, 1:-1][lowest]
+    df = differentiate(f)
+    converged = np.zeros(zs.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            m, acc = _scaled_values(f, zs)
+            _, dacc = _scaled_values(df, zs, m)
+            step = acc / dacc
+            zs = zs - step
+            converged = np.abs(step) <= 1e-14 * np.maximum(1.0, np.abs(zs))
+            if converged.all():
+                break
+    found: list[complex] = []
+    for z in zs[converged & np.isfinite(zs)]:
+        if all(abs(z - w) > 1e-8 * max(1.0, abs(w)) for w in found):
+            found.append(complex(z))
+    return found
+
+
+def zeros(f: EntireFunction, radius: float) -> list[tuple[complex, int]] | None:
+    """The zeros of f in |z| < radius with their multiplicities, or None where
+    they cannot be certified.
+
+    A single term P(z) e^{cz} vanishes exactly at the roots of P; np.roots
+    returns an m-fold root as a cluster of width about eps^{1/m}, which is
+    merged back into one point of multiplicity m.  For several terms the
+    zeros are Newton's, started from the grid minima of log|f|, accepted only
+    when their number matches the winding number of f around the circle.
+    """
+    if f.is_zero:
+        return None
+    if len(f.terms) == 1:
+        clusters: list[list[complex]] = []
+        for z in np.roots(f.terms[0].coeffs[::-1]):
+            for cluster in clusters:
+                if abs(z - cluster[0]) <= _ROOT_CLUSTER * max(1.0, abs(cluster[0])):
+                    cluster.append(z)
+                    break
+            else:
+                clusters.append([z])
+        points = [(complex(np.mean(c)), len(c)) for c in clusters]
+        return [(z, m) for z, m in points if abs(z) < radius]
+    count = _winding_number(f, radius)
+    if count is None:
+        return None
+    if count == 0:
+        return []
+    cells = _ZERO_GRID
+    while cells <= _ZERO_GRID_MAX:
+        found = [z for z in _newton_zeros(f, radius, cells) if abs(z) < radius]
+        if len(found) == count:
+            return [(z, 1) for z in found]
+        cells *= 2
+    return None
 
 
 def compose_affine(f: EntireFunction, phi: "AffineMap") -> EntireFunction:

@@ -7,16 +7,21 @@ import pytest
 
 from focklab import quadrature
 from focklab.errors import TailNotDominated, ToleranceNotMet
-from focklab.fock import kernel, magnitude_power_integrand
-from focklab.parsing import parse_symbol
+from focklab.criteria import gauge_plane_norm
+from focklab.fock import fock_norm, kernel, magnitude_power_integrand
+from focklab.parsing import parse_affine, parse_symbol
 from focklab.quadrature import (
+    CHECK_SPEC,
+    DEFAULT_SPEC,
     GrowthEnvelope,
     PolarIntegrand,
     QuadratureSpec,
     gaussian_integral,
     plane_integral,
 )
-from focklab.sampling import random_entire_function
+from focklab.sampling import random_complex, random_entire_function
+
+ULP = 2.0**-52
 
 
 def moment_integrand(n: int) -> PolarIntegrand:
@@ -131,3 +136,70 @@ def test_no_panel_is_evaluated_twice(monkeypatch):
     integrand = magnitude_power_integrand(parse_symbol("z^2*exp(0.5*z) + 3*z"), 2.0)
     assert gaussian_integral(integrand, 2.0).truncation_radius == 16.0
     assert seen and len(seen) == len(set(seen))
+
+
+def weyl_text(a: complex, n: int) -> str:
+    """k_a(z) (z - a)^n: |f|^p e^{-p|z|^2/2} = |z - a|^{np} e^{-p|z - a|^2/2}."""
+    def fmt(c: complex) -> str:
+        return f"({c.real!r}{'-' if c.imag < 0 else '+'}{abs(c.imag)!r}i)"
+
+    return f"{math.exp(-abs(a) ** 2 / 2.0)!r}*exp({fmt(a.conjugate())}*z)*(z-{fmt(a)})^{n}"
+
+
+def weyl_norm(n: int, p: float) -> float:
+    return math.gamma(n * p / 2.0 + 1.0) ** (1.0 / p) * (2.0 / p) ** (n / 2.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.5, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cusp_error_estimates_bound_the_error(n, p):
+    # a zero of f off the origin is an algebraic cusp of |f|^p; the closed
+    # form holds for every a, and the z^n rows put the zero at the origin
+    rng = np.random.default_rng([29, n, int(2 * p)])
+    points = [random_complex(rng, 1.2) for _ in range(3)] + [0j]
+    if (n, p) == (1, 0.5):
+        points.append(0.3040 + 0.4072j)  # the benchmark's fixed cusp case
+    exact = weyl_norm(n, p)
+    for a in points:
+        f = parse_symbol(weyl_text(a, n) if a else f"z^{n}")
+        for spec in (DEFAULT_SPEC, CHECK_SPEC):
+            norm = fock_norm(f, p, spec)
+            assert abs(norm.value - exact) <= norm.error_estimate + 8 * ULP * exact, (a, spec)
+
+
+def test_two_zero_polynomial_meets_a_tighter_spec():
+    f = parse_symbol("(z-0.5)*(z+1i)*exp(0.25*z)")
+    tight = QuadratureSpec(abs_tol=DEFAULT_SPEC.abs_tol / 100, rel_tol=DEFAULT_SPEC.rel_tol / 100)
+    for p in (0.5, 1.0, 1.5):
+        loose, fine = fock_norm(f, p), fock_norm(f, p, tight)
+        assert fine.error_estimate <= loose.error_estimate
+        assert abs(loose.value - fine.value) <= loose.error_estimate + fine.error_estimate
+
+
+# (symbol, p, value, error_estimate) of integrands without a graded cusp,
+# frozen before the angular rule learned to grade: no zero (exp), a zero at
+# the origin (z^2), an even order p m (p = 1, 3 on a double zero) and an
+# order p m = 7.5 beyond the graded range
+_UNGRADED = [
+    ("fock", "0.5352614285189903*exp((0.8-0.6i)*z)*(z-(0.8+0.6i))^3", 2.5,
+     1.9419900387110267, 1.0180011660627145e-12),
+    ("fock", "z^2", 0.5, 3.1415926535897927, 3.0531673004356048e-12),
+    ("fock", "(1.5-0.5i)*exp((0.3+0.7i)*z)", 0.5, 2.1130773949089465, 2.4860178026012253e-13),
+    ("integral", "(z-0.5)^2*exp((0.2-0.1i)*z)", 1.0, 2.1531617531013003, 4.064853756133256e-16),
+    ("integral", "(z-0.5)^2*exp((0.2-0.1i)*z)", 3.0, 2.844296744373235, 4.2982111911551384e-14),
+]
+
+
+@pytest.mark.parametrize("kind, text, p, value, estimate", _UNGRADED)
+def test_ungraded_integrands_keep_their_arithmetic(kind, text, p, value, estimate):
+    f = parse_symbol(text)
+    if kind == "fock":
+        got = fock_norm(f, p)
+    else:
+        got = gaussian_integral(magnitude_power_integrand(f, p), p)
+    assert (got.value, got.error_estimate) == (value, estimate)
+
+
+def test_ungraded_plane_norm_keeps_its_arithmetic():
+    # a simple zero of psi at s = pq/(p - q) = 2 is smooth
+    assert gauge_plane_norm(parse_symbol("z-0.5"), parse_affine("0.5,0.2"), 2.0, 1.0) == 2.5465701546826285

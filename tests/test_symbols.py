@@ -185,3 +185,27 @@ def test_fock_index_validation():
     with pytest.raises(ValueError):
         sy.validate_fock_index(math.inf)
     assert sy.validate_fock_index(2) == 2.0
+
+
+def test_zeros_of_one_term_merge_multiple_roots():
+    # np.roots splits the triple root into a cluster about eps^{1/3} wide
+    f = parse_symbol("exp((0.3-0.2i)*z)*(z-(0.6+0.8i))^3*(z+2)")
+    zeros = sorted(sy.zeros(f, 4.0), key=lambda zm: zm[1])
+    assert [m for _, m in zeros] == [1, 3]
+    assert abs(zeros[0][0] + 2) < 1e-12 and abs(zeros[1][0] - (0.6 + 0.8j)) < 1e-4
+    assert sy.zeros(f, 1.5) == [zeros[1]]
+
+
+def test_zeros_of_several_terms_match_the_argument_principle(rng):
+    # sinh z vanishes at i pi k
+    zeros = sy.zeros(parse_symbol("exp(z) - exp(-z)"), 7.0)
+    assert sorted(round(z.imag / math.pi) for z, _ in zeros) == [-2, -1, 0, 1, 2]
+    assert all(abs(z - 1j * math.pi * round(z.imag / math.pi)) < 1e-12 for z, _ in zeros)
+    for _ in range(10):
+        f = random_entire_function(rng, max_terms=3, max_degree=3, rate_radius=1.5)
+        zeros = sy.zeros(f, 8.0)
+        if zeros is None:
+            continue
+        assert len(zeros) == sy._winding_number(f, 8.0)
+        for z, _ in zeros:
+            assert abs(z) < 8.0 and abs(f(z)) <= 1e-10 * sy.growth_envelope(f, abs(z))
