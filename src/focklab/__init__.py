@@ -28,7 +28,6 @@ from .quadrature import (
     PolarIntegrand,
     QuadratureSpec,
     gaussian_integral,
-    plane_integral,
 )
 from .fock import (
     NormValue,

@@ -29,6 +29,26 @@ _SETTINGS = {
 _TABULAR = ("path", "profile-m")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a flag taking a value takes the next token even
+    when it starts with '-' (a map such as -0.5,0), and that a usage error
+    is one ``error:`` line on stderr with exit code 2."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        flags = self._option_string_actions
+        joined: list[str] = []
+        for token in sys.argv[1:] if args is None else args:
+            action = flags.get(joined[-1]) if joined else None
+            if action is not None and action.nargs is None and token not in flags:
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _add_operator_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--psi", required=True, help="weight symbol, e.g. '(1+0i)*exp((0.5-1i)*z)'")
     parser.add_argument("--phi", required=True, help="affine map as 'a,b' with complex literals")
@@ -37,7 +57,7 @@ def _add_operator_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="focklab",
         description="Classify and measure weighted composition operators between Fock spaces.",
     )

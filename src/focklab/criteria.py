@@ -18,19 +18,21 @@ runs no numerics; ``classify`` adds the numeric norm brackets:
   in which case the gauge is identically |g(0)| e^{|b|^2/2}; otherwise the
   supremum and the limsup are both infinite.
 * plane integrability (needed for q < p): a nonzero entire function is
-  never in any L^s of the plane, so |a| = 1 always fails; for |a| < 1 the
-  Gaussian factor wins and the L^s norm is finite, computed by quadrature.
+  never in any L^s of the plane, so |a| = 1 always fails.  For |a| < 1 the
+  gauge is |g(z)| e^{|b|^2/2} e^{-alpha |z|^2/2} with alpha = 1 - |a|^2,
+  and z = u / sqrt(alpha) makes its L^s norm a Fock norm: it is
+  e^{|b|^2/2} (2 pi / (s alpha))^{1/s} ||h||_s for the dilated profile
+  h(u) = g(u / sqrt(alpha)), finite since h is a member of the class.
 
 Decision rules carry stable tags (``rules`` on the decision and the
 classification) that reports cite; see the README catalog.  The annulus
 scan is a standalone numeric view of the gauge that no decision reads.
-Every numeric gauge value here (peak, annulus scan, pointwise gauge and
-plane norm) comes from the one vectorized formula ``fock.log_gauge_grid``.
+Every pointwise gauge value here (peak, annulus scan and pointwise gauge)
+comes from the one vectorized formula ``fock.log_gauge_grid``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -39,17 +41,11 @@ from enum import Enum
 import numpy as np
 
 from . import symbols
-from .errors import HypothesisViolated, TailNotDominated
-from .fock import cusp_points, fock_norm, gauge_at, gauge_peak, log_gauge_grid
+from .errors import HypothesisViolated, Inadmissible
+from .fock import fock_norm, gauge_at, gauge_peak, log_gauge_grid
 from .operators import FamilySpec, WeightedCompositionOperator, empirical_norm
-from .quadrature import (
-    DEFAULT_SPEC,
-    GrowthEnvelope,
-    PolarIntegrand,
-    QuadratureSpec,
-    plane_integral,
-)
-from .symbols import AffineMap, EntireFunction
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .symbols import AffineMap, EntireFunction, PolyExpTerm
 
 ANNULUS_RADII = tuple(float(2**k) for k in range(1, 11))
 _ANNULUS_ANGLES = 512
@@ -84,10 +80,15 @@ class GaugeProfile:
     symbolic_limsup: float
 
 
+def _profile(psi: EntireFunction, phi: AffineMap) -> EntireFunction:
+    """g = psi * exp(conj(b) a z): the gauge is |g(z)| e^{|b|^2/2} e^{-(1-|a|^2)|z|^2/2}."""
+    return symbols.mul(psi, symbols.exp_term(phi.b.conjugate() * phi.a))
+
+
 def _leaf_level(psi: EntireFunction, phi: AffineMap) -> float | None:
-    """For |a| = 1: the constant gauge level |g| e^{|b|^2/2} when
-    g = psi * exp(conj(b) a z) is constant (a leaf weight), else None."""
-    g = symbols.mul(psi, symbols.exp_term(phi.b.conjugate() * phi.a))
+    """For |a| = 1: the constant gauge level |g| e^{|b|^2/2} when the
+    profile g is constant (a leaf weight), else None."""
+    g = _profile(psi, phi)
     factor = symbols.constant_value(g, tol=symbols.TOL_SYM * max(1.0, abs(phi.a * phi.b)))
     if factor is None:
         return None
@@ -96,8 +97,7 @@ def _leaf_level(psi: EntireFunction, phi: AffineMap) -> float | None:
 
 def _divergence_direction(psi: EntireFunction, phi: AffineMap) -> complex:
     """A unit direction along which the gauge grows without bound (|a| = 1 case)."""
-    g = symbols.mul(psi, symbols.exp_term(phi.b.conjugate() * phi.a))
-    dominant = max(g.terms, key=lambda t: (abs(t.rate), t.degree))
+    dominant = max(_profile(psi, phi).terms, key=lambda t: (abs(t.rate), t.degree))
     if abs(dominant.rate) <= symbols.TOL_SYM:
         return 1 + 0j
     return dominant.rate.conjugate() / abs(dominant.rate)
@@ -148,7 +148,9 @@ def gauge_plane_norm(psi: EntireFunction, phi: AffineMap, p: float, q: float,
     """L^{pq/(p-q)} plane norm of the gauge (q < p); inf when not integrable.
 
     Symbolic prefilter: for |a| = 1 a nonzero entire profile is never plane
-    integrable, so the norm is infinite without quadrature.
+    integrable, so the norm is infinite without quadrature.  For |a| < 1 it
+    is the Fock norm of the dilated profile (module docstring), scaled in the
+    log domain; a value past the float range reads inf.
     """
     if not 0 < q < p:
         raise HypothesisViolated("plane norm of the gauge requires 0 < q < p")
@@ -156,32 +158,24 @@ def gauge_plane_norm(psi: EntireFunction, phi: AffineMap, p: float, q: float,
         raise HypothesisViolated("a = 0 is decided by the rank-one branch, not integrability")
     if phi.is_unit_modulus:
         return math.inf
+    if psi.is_zero:
+        return 0.0
     s = p * q / (p - q)
-    a, b = phi.a, phi.b
-    amp, degree, rate = symbols.envelope_majorant(psi)
-    try:
-        amp_s = amp**s
-    except OverflowError:  # the tail bound then reads inf, and the engine refuses
-        amp_s = math.inf
-    envelope = GrowthEnvelope.single(
-        amplitude=amp_s * math.exp(min(s * symbols.square(abs(b)) / 2.0, 700.0)),
-        degree=degree * s,
-        rate=s * (rate + abs(a * b)),
-        curvature=s * (abs(a) ** 2 - 1.0) / 2.0,
-    )
-
-    integrand = PolarIntegrand(
-        log_magnitude=lambda zs: s * log_gauge_grid(psi, phi, zs),
-        envelope=envelope,
-        angular_degree=s * degree,
-        angular_rate=s * (rate + abs(a * b)),
-        cusps=functools.partial(cusp_points, psi, s),
-    )
-    try:
-        result = plane_integral(integrand, spec or DEFAULT_SPEC)
-    except TailNotDominated:
+    alpha = 1.0 - abs(phi.a) ** 2
+    log_factor = symbols.square(abs(phi.b)) / 2.0 + math.log(2.0 * math.pi / (s * alpha)) / s
+    if math.isinf(log_factor):  # |b|^2 past the float range
         return math.inf
-    return result.value ** (1.0 / s) * symbols.safe_exp(result.log_scale / s)
+    t = 1.0 / math.sqrt(alpha)
+    try:  # h(u) = g(t u), term by term: AffineMap refuses the slope t > 1
+        h = EntireFunction(tuple(
+            PolyExpTerm(tuple(c * t**k for k, c in enumerate(term.coeffs)), term.rate * t)
+            for term in _profile(psi, phi).terms))
+    except (OverflowError, Inadmissible):  # a coefficient or rate past the float range
+        return math.inf
+    norm = fock_norm(h, s, spec).value
+    value = norm * symbols.safe_exp(log_factor)
+    # the factor alone can overflow where the product does not
+    return value if math.isfinite(value) else symbols.safe_exp(math.log(norm) + log_factor)
 
 
 class Verdict(str, Enum):

@@ -54,13 +54,6 @@ class ToleranceNotMet(NumericFailure):
     """Adaptive refinement exhausted its budget before reaching the tolerance."""
 
 
-class TailNotDominated(NumericFailure):
-    """The integrand's growth envelope does not decay against the weight.
-
-    Signals a genuinely divergent integral rather than an engine defect.
-    """
-
-
 class TailLoss(NumericFailure):
     """A truncated matrix column lost more mass than the tolerance allows."""
 

@@ -6,10 +6,9 @@ equispaced periodic rule in the angle.  Integrands are supplied in log form
 (so |f|^p for huge |z| never overflows) together with an analytic growth
 envelope of the shape
 
-    g(z) <= sum_j A_j (1 + r)^{d_j} exp(K_j r + C_j r^2),   r = |z|,
+    g(z) <= sum_j A_j (1 + r)^{d_j} exp(K_j r),   r = |z|,
 
 which yields a rigorous truncation-tail bound by completing the square.
-A curvature term C_j >= s/2 means the integral diverges (TailNotDominated).
 
 Angular node counts follow the oscillation bound of |exp(cz)|^p on |z| = r,
 whose scale is p|c|r.  The equispaced rule is spectrally accurate only for
@@ -38,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import Inadmissible, TailNotDominated, ToleranceNotMet
+from .errors import Inadmissible, ToleranceNotMet
 from .symbols import square
 
 _MAX_SPLITS = 4000
@@ -98,12 +97,11 @@ class IntegralResult:
 
 @dataclass(frozen=True)
 class EnvelopeTerm:
-    """A (1+r)^degree exp(rate r + curvature r^2)."""
+    """A (1+r)^degree exp(rate r)."""
 
     amplitude: float
     degree: float = 0.0
     rate: float = 0.0
-    curvature: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -111,9 +109,8 @@ class GrowthEnvelope:
     terms: tuple[EnvelopeTerm, ...]
 
     @staticmethod
-    def single(amplitude: float, degree: float = 0.0, rate: float = 0.0,
-               curvature: float = 0.0) -> "GrowthEnvelope":
-        return GrowthEnvelope((EnvelopeTerm(amplitude, degree, rate, curvature),))
+    def single(amplitude: float, degree: float = 0.0, rate: float = 0.0) -> "GrowthEnvelope":
+        return GrowthEnvelope((EnvelopeTerm(amplitude, degree, rate),))
 
 
 @dataclass(frozen=True)
@@ -137,16 +134,16 @@ class PolarIntegrand:
 def _tail_bound(envelope: GrowthEnvelope, s: float, radius: float, shift: float) -> float:
     """Rigorous bound on the dA-integral of env(|z|) e^{-s|z|^2/2 - shift} beyond radius.
 
-    Per term, completing the square in K r - beta r^2 (beta = s/2 - C) gives
+    Per term, completing the square in K r - beta r^2 (beta = s/2) gives
        2 pi * (2 A / beta) e^{K^2/(2 beta)} (1+R)^d e^{-beta R^2 / 2},
     valid once (1+r)^d r e^{-beta r^2 / 4} decreases beyond the radius;
     before that the bound is inf.
     """
     total = 0.0
+    beta = s / 2.0
     for t in envelope.terms:
         if t.amplitude == 0.0:  # a p-th power that underflowed bounds no tail
             continue
-        beta = s / 2.0 - t.curvature
         if t.degree / (1.0 + radius) + 1.0 / radius > beta * radius / 2.0:
             return math.inf
         log_term = (
@@ -162,11 +159,6 @@ def _tail_bound(envelope: GrowthEnvelope, s: float, radius: float, shift: float)
 def _choose_radius(envelope: GrowthEnvelope, s: float, prefactor: float,
                    spec: QuadratureSpec, shift: float) -> tuple[float, float]:
     """Doubling search for the smallest radius whose tail bound is below abs_tol/2."""
-    for t in envelope.terms:
-        if s / 2.0 - t.curvature <= 0:
-            raise TailNotDominated(
-                f"envelope curvature {t.curvature} does not decay against weight exponent {s}/2"
-            )
     radius = 2.0
     while True:
         tail = prefactor * _tail_bound(envelope, s, radius, shift)
@@ -375,13 +367,6 @@ def gaussian_integral(integrand: PolarIntegrand, s: float,
         raise ValueError("weight exponent s must be positive and finite")
     spec = spec or DEFAULT_SPEC
     return _integrate(integrand, s, s / (2.0 * math.pi), spec)
-
-
-def plane_integral(integrand: PolarIntegrand,
-                   spec: QuadratureSpec | None = None) -> IntegralResult:
-    """Unweighted integral of g dA; the envelope itself must decay super-polynomially."""
-    spec = spec or DEFAULT_SPEC
-    return _integrate(integrand, 0.0, 1.0, spec)
 
 
 def polar_grid(radius: float, n_radii: int, n_angles: int,

@@ -35,6 +35,7 @@ from .operators import (
     matrix_sigma_max,
 )
 from .parsing import parse_affine, parse_complex, parse_radii, parse_symbol, render
+from .symbols import AffineMap
 from .topology import (
     RULE_COMPONENTS,
     RULE_DIFF_BOTH_COMPACT,
@@ -115,6 +116,14 @@ def _complex(z: complex | None) -> Any:
     return {"re": z.real, "im": z.imag}
 
 
+def _map(phi: AffineMap) -> dict[str, Any]:
+    return {"a": _complex(phi.a), "b": _complex(phi.b)}
+
+
+def _operator_inputs(op: WeightedCompositionOperator) -> dict[str, Any]:
+    return {"psi": render(op.psi), "phi": _map(op.phi), "p": op.p, "q": op.q}
+
+
 def _operator(options: dict[str, Any], psi_key: str = "psi",
               phi_key: str = "phi") -> WeightedCompositionOperator:
     psi = parse_symbol(options[psi_key])
@@ -154,8 +163,7 @@ def _handle_classify(options, config: RunConfig) -> Report:
     }
     return Report(
         "classify",
-        {"psi": render(op.psi), "phi": {"a": _complex(op.phi.a), "b": _complex(op.phi.b)},
-         "p": op.p, "q": op.q},
+        _operator_inputs(op),
         results,
         c.rules,
     )
@@ -181,8 +189,7 @@ def _handle_opnorm(options, config: RunConfig) -> Report:
         diagnostics["max_column_tail_fraction"] = max(matrix.column_tail_fractions)
     return Report(
         "opnorm",
-        {"psi": render(op.psi), "phi": {"a": _complex(op.phi.a), "b": _complex(op.phi.b)},
-         "p": op.p, "q": op.q},
+        _operator_inputs(op),
         results,
         c.rules,
         diagnostics,
@@ -197,8 +204,7 @@ def _handle_essnorm(options, config: RunConfig) -> Report:
         rules.append(RULE_ESS_UNIT)
     return Report(
         "essnorm",
-        {"psi": render(op.psi), "phi": {"a": _complex(op.phi.a), "b": _complex(op.phi.b)},
-         "p": op.p, "q": op.q},
+        _operator_inputs(op),
         {"ess_lower": ereal(lo), "ess_upper": ereal(hi)},
         tuple(rules),
     )
@@ -216,9 +222,8 @@ def _handle_diff(options, config: RunConfig) -> Report:
         rules = (RULE_DIFF_BOTH_COMPACT, RULE_DIFF_SAME_MAP)
     return Report(
         "diff",
-        {"psi1": render(first.psi), "phi1": {"a": _complex(first.phi.a), "b": _complex(first.phi.b)},
-         "psi2": render(second.psi), "phi2": {"a": _complex(second.phi.a), "b": _complex(second.phi.b)},
-         "p": first.p, "q": first.q},
+        {"psi1": render(first.psi), "phi1": _map(first.phi),
+         "psi2": render(second.psi), "phi2": _map(second.phi), "p": first.p, "q": first.q},
         {"compact": verdict.compact, "reason": verdict.reason.value, "detail": verdict.detail},
         rules,
     )
@@ -230,8 +235,7 @@ def _handle_component(options, config: RunConfig) -> Report:
     rule = RULE_FULL_CONNECTED if cid.kind is ComponentKind.ALL_CONNECTED else RULE_COMPONENTS
     return Report(
         "component",
-        {"psi": render(op.psi), "phi": {"a": _complex(op.phi.a), "b": _complex(op.phi.b)},
-         "p": op.p, "q": op.q},
+        _operator_inputs(op),
         {"kind": cid.kind.value,
          "leaf_key": None if cid.leaf_key is None else
          {"a": _complex(cid.leaf_key[0]), "b": _complex(cid.leaf_key[1])}},
@@ -244,7 +248,7 @@ def _handle_isolated(options, config: RunConfig) -> Report:
     p, q = float(options["p"]), float(options["q"])
     return Report(
         "isolated",
-        {"phi": {"a": _complex(phi.a), "b": _complex(phi.b)}, "p": p, "q": q},
+        {"phi": _map(phi), "p": p, "q": q},
         {"isolated": is_isolated(phi, p, q)},
         (RULE_ISOLATION,),
     )
@@ -270,7 +274,7 @@ def _handle_path(options, config: RunConfig) -> Report:
                 inputs[key] = _complex(kwargs[key])
     elif "phi" in options:
         kwargs["phi"] = parse_affine(options["phi"])
-        inputs["phi"] = {"a": _complex(kwargs["phi"].a), "b": _complex(kwargs["phi"].b)}
+        inputs["phi"] = _map(kwargs["phi"])
     if kind == "weight":
         for key in ("psi1", "psi2"):
             if key in options:
@@ -292,8 +296,7 @@ def _handle_profile_m(options, config: RunConfig) -> Report:
     profile = gauge_profile(psi, phi)
     return Report(
         "profile-m",
-        {"psi": render(psi), "phi": {"a": _complex(phi.a), "b": _complex(phi.b)},
-         "radii": list(radii)},
+        {"psi": render(psi), "phi": _map(phi), "radii": list(radii)},
         {"columns": ["radius", "annulus_sup"],
          "rows": [[r, _cell(s)] for r, s in annulus_sups(psi, phi, radii)],
          "symbolic_sup": ereal(profile.symbolic_sup),

@@ -357,11 +357,47 @@ def test_classify_command_exit_contract(terms, modulus, angle, b_re, b_im, p, q)
     phi = f"{a.real!r}{a.imag:+.17g}i,{b_re!r}{b_im:+.17g}i"
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        # the = form, since argparse reads a value such as -0.5,0 as a flag
-        code = main(["classify", f"--psi={_symbol_text(terms)}", f"--phi={phi}",
+        code = main(["classify", "--psi", _symbol_text(terms), "--phi", phi,
                      "--p", repr(p), "--q", repr(q)])
     assert code in (0, 2, 3)
     if code:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:
         assert strict_json(out.getvalue())["results"]["verdict"]
+
+
+_exponent = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(_term, min_size=1, max_size=2), _slope, st.floats(-math.pi, math.pi),
+       _shift, _shift, _exponent, _exponent, st.booleans())
+def test_opnorm_command_exit_contract(terms, modulus, angle, b_re, b_im, p, q, small):
+    # q < p half the time, where the bound is the plane norm of the gauge
+    if small and p <= q:
+        p, q = q + 1.0, p
+    a = modulus * complex(math.cos(angle), math.sin(angle))
+    phi = f"{a.real!r}{a.imag:+.17g}i,{b_re!r}{b_im:+.17g}i"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["opnorm", "--psi", _symbol_text(terms), "--phi", phi,
+                     "--p", repr(p), "--q", repr(q), "--matrix-order", "16"])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert strict_json(out.getvalue())["results"]["theory_upper"]
+
+
+def test_cli_reads_values_that_start_with_a_dash(capsys):
+    argv = ["classify", "--psi", "-1", "--p", "2", "--q", "2"]
+    assert main([*argv, "--phi", "-0.5,0"]) == 0
+    spaced = capsys.readouterr().out
+    assert main([*argv, "--phi=-0.5,0"]) == 0
+    assert capsys.readouterr().out == spaced
+    # a flag still does not take another flag as its value
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--psi", "1", "--phi", "--p", "2", "--q", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "error: argument --phi: expected one argument\n"

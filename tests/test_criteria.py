@@ -18,7 +18,7 @@ from focklab.criteria import (
     gauge_profile,
 )
 from focklab.errors import HypothesisViolated
-from focklab.fock import gauge_peak, log_gauge_grid
+from focklab.fock import fock_norm, gauge_peak, log_gauge_grid, magnitude_power_integrand
 from focklab.operators import (
     FamilySpec,
     WeightedCompositionOperator,
@@ -26,7 +26,7 @@ from focklab.operators import (
     f2_matrix,
     matrix_sigma_max,
 )
-from focklab.quadrature import CHECK_SPEC
+from focklab.quadrature import CHECK_SPEC, gaussian_integral
 from focklab.sampling import (
     random_affine,
     random_bounded_operator,
@@ -196,6 +196,62 @@ def test_plane_norm_oracles():
         gauge_plane_norm(sy.ONE, AffineMap(0.5, 0.0), 2.0, 4.0)
     with pytest.raises(HypothesisViolated):
         gauge_plane_norm(sy.ONE, AffineMap(0.0, 0.5), 4.0, 2.0)
+
+
+def _dilated(g, t):
+    """g(t u), term by term."""
+    return sy.EntireFunction(tuple(
+        sy.PolyExpTerm(tuple(c * t**k for k, c in enumerate(term.coeffs)), term.rate * t)
+        for term in g.terms))
+
+
+def _fock_route_estimate(psi, phi, s):
+    """The error estimate of the plane norm taken as e^{|b|^2/2} (2 pi/(s alpha))^{1/s}
+    times the Fock s-norm of the dilated profile h(u) = g(u / sqrt(alpha))."""
+    alpha = 1.0 - abs(phi.a) ** 2
+    g = sy.mul(psi, sy.exp_term(phi.b.conjugate() * phi.a))
+    norm = fock_norm(_dilated(g, 1.0 / math.sqrt(alpha)), s)
+    return norm.error_estimate * math.exp(abs(phi.b) ** 2 / 2.0 + math.log(2.0 * math.pi / (s * alpha)) / s)
+
+
+def test_plane_norm_matches_closed_form():
+    # psi = c e^{dz}: the L^s norm of the gauge is |c| e^{|b|^2/2} (pi/beta)^{1/s}
+    # e^{s|w|^2/(4 beta)} with w = d + conj(b) a and beta = s (1 - |a|^2) / 2
+    rng = np.random.default_rng(1109)
+    cases = [(1.0, 0j, AffineMap(0.5, 30.0), 2.0, 1.0)]
+    for p, q in ((2.0, 1.0), (4.0, 2.0), (3.0, 2.0), (6.0, 3.0), (3.0, 1.0), (2.0, 0.5),
+                 (3.0, 1.5), (5.0, 2.0)):
+        c = random_complex(rng, 2.0) + 0.5
+        cases.append((c, random_complex(rng, 1.0), random_affine(rng, a_max=0.8), p, q))
+    for c, d, phi, p, q in cases:
+        s = p * q / (p - q)
+        w = d + phi.b.conjugate() * phi.a
+        beta = s * (1.0 - abs(phi.a) ** 2) / 2.0
+        closed = math.exp(math.log(abs(c)) + abs(phi.b) ** 2 / 2.0 + math.log(math.pi / beta) / s
+                          + s * abs(w) ** 2 / (4.0 * beta))
+        psi = sy.exp_term(d, c)
+        got = gauge_plane_norm(psi, phi, p, q)
+        estimate = _fock_route_estimate(psi, phi, s)
+        assert abs(got - closed) <= estimate + 8 * math.ulp(closed), (c, d, phi, s)
+
+    # a weight with zeros at fractional s: the same norm from the undilated
+    # engine run, (2 pi / (s alpha)) times the integral of |g|^s at weight s alpha
+    phi = AffineMap(0.6 - 0.2j, 0.4 + 0.3j)
+    alpha = 1.0 - abs(phi.a) ** 2
+    psi = sy.mul(sy.add(sy.variable(), sy.constant(-0.5)), sy.exp_term(0.3 - 0.2j))
+    psi = sy.add(psi, sy.constant(0.7j))
+    for p, q in ((2.0, 0.5), (3.0, 1.0)):
+        s = p * q / (p - q)
+        g = sy.mul(psi, sy.exp_term(phi.b.conjugate() * phi.a))
+        res = gaussian_integral(magnitude_power_integrand(g, s), s * alpha)
+        front = math.exp(abs(phi.b) ** 2 / 2.0) * (2.0 * math.pi / (s * alpha)) ** (1.0 / s)
+        root = res.value ** (1.0 / s)
+        direct = front * root
+        # the larger step of x^{1/s} across the integral's estimate
+        direct_estimate = front * max((res.value + res.error_estimate) ** (1.0 / s) - root,
+                                      root - max(res.value - res.error_estimate, 0.0) ** (1.0 / s))
+        got = gauge_plane_norm(psi, phi, p, q)
+        assert abs(got - direct) <= _fock_route_estimate(psi, phi, s) + direct_estimate, s
 
 
 def test_classify_bracket_example():

@@ -79,7 +79,7 @@ def test_decisions_run_no_numerics(no_numerics):
     # the guards are live: the numeric brackets do trip them
     with pytest.raises(AssertionError, match="gauge_peak"):
         classify(bulk)
-    with pytest.raises(AssertionError, match="empirical_norm"):
+    with pytest.raises(AssertionError, match="fock_norm"):
         classify(small)
 
 

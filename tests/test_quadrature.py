@@ -1,4 +1,4 @@
-"""Engine oracles: Gaussian moments, closed-form plane integrals, tail logic."""
+"""Engine oracles: Gaussian moments, cusp closed forms, tail logic."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from focklab import quadrature
-from focklab.errors import TailNotDominated, ToleranceNotMet
+from focklab.errors import ToleranceNotMet
 from focklab.criteria import gauge_plane_norm
 from focklab.fock import fock_norm, kernel, magnitude_power_integrand
 from focklab.parsing import parse_affine, parse_symbol
@@ -17,7 +17,6 @@ from focklab.quadrature import (
     PolarIntegrand,
     QuadratureSpec,
     gaussian_integral,
-    plane_integral,
 )
 from focklab.sampling import random_complex, random_entire_function
 
@@ -28,14 +27,6 @@ def moment_integrand(n: int) -> PolarIntegrand:
     return PolarIntegrand(
         log_magnitude=lambda zs: 2.0 * n * np.log(np.abs(zs)) if n else np.zeros(zs.shape),
         envelope=GrowthEnvelope.single(1.0, degree=2.0 * n),
-    )
-
-
-def gaussian_plane_integrand(beta: float) -> PolarIntegrand:
-    # exp(-beta |z|^2); plane integral is pi / beta
-    return PolarIntegrand(
-        log_magnitude=lambda zs: -beta * np.abs(zs) ** 2,
-        envelope=GrowthEnvelope.single(1.0, curvature=-beta),
     )
 
 
@@ -58,16 +49,6 @@ def test_kernel_power_integral_is_one():
     for p in (0.5, 2.0, 3.0):
         integrand = magnitude_power_integrand(kernel(w), p)
         assert math.isclose(gaussian_integral(integrand, p).value, 1.0, rel_tol=1e-10)
-
-
-def test_plane_integral_gaussian_oracles():
-    assert math.isclose(plane_integral(gaussian_plane_integrand(1.0)).value, math.pi, rel_tol=1e-10)
-    assert math.isclose(plane_integral(gaussian_plane_integrand(1.5)).value,
-                        2.0 * math.pi / 3.0, rel_tol=1e-10)
-    # the squared gauge of (psi=1, phi=z/2) is exp(-3|z|^2/4); the Gaussian
-    # oracle pi/beta gives 4 pi / 3
-    assert math.isclose(plane_integral(gaussian_plane_integrand(0.75)).value,
-                        4.0 * math.pi / 3.0, rel_tol=1e-10)
 
 
 def test_refinement_shift_stays_within_error_estimate(rng):
@@ -95,15 +76,6 @@ def test_rotation_invariance(rng):
             angular_rate=base.angular_rate,
         )
         assert abs(gaussian_integral(rotated, 2.0).value - reference) < 1e-10
-
-
-def test_tail_not_dominated_for_non_decaying_envelope():
-    integrand = PolarIntegrand(
-        log_magnitude=lambda zs: np.zeros(zs.shape),
-        envelope=GrowthEnvelope.single(1.0, curvature=0.0),
-    )
-    with pytest.raises(TailNotDominated):
-        plane_integral(integrand)
 
 
 def test_tolerance_not_met_when_radius_cap_too_small():
