@@ -70,7 +70,7 @@ class GaugeProfile:
     """Sup and limsup of the gauge for one symbol pair.
 
     The limsup, and the sup when |a| = 1, are symbolic; the sup for |a| < 1
-    is the maximum ``fock.gauge_peak`` reaches from its seeded polar grid.
+    is the peak ``fock.gauge_peak`` reaches by Newton ascent from a grid.
     A limsup of 0.0 is the exact symbolic zero of Gaussian decay, never a
     rounded small value.  The direction in which an unbounded gauge grows
     is ``Decision.witness``.

@@ -361,36 +361,50 @@ def gauge_at(psi: EntireFunction, phi: symbols.AffineMap, z: complex) -> float:
 
 
 # The gauge maximizer: a polar grid of _GRID_RADII x _GRID_ANGLES points and
-# the per-term stationary points seed a compass polish of the _POLISHED best
-# points, each probing its four neighbours at its own step, halved from
-# _FIRST_STEP to _MIN_STEP whenever no neighbour is higher.
+# the per-term stationary points seed a damped Newton ascent of the _POLISHED
+# best points; the cap only bounds a call's work, no seed comes near it.
 _GRID_RADII = 24
 _GRID_ANGLES = 32
 _POLISHED = 4
-_FIRST_STEP = 0.5
-_MIN_STEP = 1e-9
-# a point moves at most one step per round, so the cap bounds a call's work
-# however far a seed lies from its peak
-_MAX_ROUNDS = 5000
-_COMPASS = np.array([1.0, -1.0, 1j, -1j])
+_MAX_ROUNDS = 100
 
 
-def _polish(psi: EntireFunction, phi: symbols.AffineMap,
-            zs: np.ndarray, values: np.ndarray) -> tuple[complex, float]:
-    """Compass ascent of every point at once; the best point reached."""
-    steps = np.full(zs.shape, _FIRST_STEP)
-    for _ in range(_MAX_ROUNDS):
-        active = steps > _MIN_STEP
-        if not active.any():
-            break
-        probes = zs[:, None] + steps[:, None] * _COMPASS[None, :]
-        probe_values = log_gauge_grid(psi, phi, probes)
-        rows, k = np.arange(zs.size), np.argmax(probe_values, axis=1)
-        best = probe_values[rows, k]
-        moved = active & (best > values)
-        zs = np.where(moved, probes[rows, k], zs)
-        values = np.where(moved, best, values)
-        steps = np.where(moved | ~active, steps, 0.5 * steps)
+def _newton_ascent(psi: EntireFunction, phi: symbols.AffineMap,
+                   zs: np.ndarray, values: np.ndarray) -> tuple[complex, float]:
+    """Damped Newton ascent of every point at once; the best point reached.
+
+    With F = psi'/psi and lam = 1 - |a|^2 the log gauge G has gradient g =
+    conj(F) - lam z + b conj(a) and Hessian d -> conj(F' d) - lam d; a step
+    solves lam d - conj(F' d) = g, lam raised to |F'| + min(lam, |g|)/2 where
+    smaller (a Levenberg shift: the model stays concave, a flat direction
+    takes a bounded step).  A step is kept where it raises G, else halved;
+    a point's last promises a rise below G's rounding and may lose that much.
+    """
+    dpsi = symbols.differentiate(psi)
+    derivatives = (dpsi, symbols.differentiate(dpsi))
+    lam, pull = 1.0 - abs(phi.a) ** 2, phi.b * phi.a.conjugate()
+
+    def newton(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # psi, psi' and psi'' at one scale keep F and F' finite where psi overflows
+        m, v = symbols._scaled_values(psi, z)
+        f, f2 = (symbols._scaled_values(d, z, m)[1] / v for d in derivatives)
+        c, g = f2 - f * f, f.conjugate() - lam * z + pull
+        shift = np.maximum(lam, np.abs(c) + np.minimum(lam, np.abs(g)) / 2.0)
+        return g, (shift * g + c.conjugate() * g.conjugate()) / (shift**2 - np.abs(c) ** 2)
+
+    with np.errstate(all="ignore"):
+        (grad, step), scale, active = newton(zs), np.ones(zs.shape), np.ones(zs.shape, dtype=bool)
+        for _ in range(_MAX_ROUNDS):
+            trial = zs + scale * step
+            trial_values, (trial_grad, trial_step) = log_gauge_grid(psi, phi, trial), newton(trial)
+            rounding = 4.0 * _UNIT_ROUNDOFF * (1.0 + np.abs(values))
+            final = active & ~(scale * (grad.conjugate() * step).real > rounding)
+            moved = active & (trial_values > values - np.where(final, rounding, 0.0))
+            zs, values = np.where(moved, trial, zs), np.where(moved, trial_values, values)
+            grad, step = np.where(moved, trial_grad, grad), np.where(moved, trial_step, step)
+            scale, active = np.where(moved, 1.0, 0.5 * scale), active & ~final
+            if not active.any():
+                break
     k = int(np.argmax(values))
     return complex(zs[k]), float(values[k])
 
@@ -399,13 +413,13 @@ def gauge_peak(psi: EntireFunction, phi: symbols.AffineMap) -> tuple[complex, fl
     """argmax of the gauge and its log value (finite for |a| < 1 unless the
     log itself overflows, which reads +inf).
 
-    For unit-modulus maps the quadratic cancels and the gauge is either
-    constant or unbounded; the origin is returned as a representative point.
+    For unit-modulus maps, whose gauge is constant or unbounded, and for the
+    zero weight the origin is returned as a representative point.
     For |a| < 1 the grid reaches past both the concavity scale 4/(1-|a|^2)
     (at most 60) and the reach (rate + |ab|)/alpha + sqrt(degree/alpha) of
     psi's growth against the Gaussian decay alpha = (1-|a|^2)/2.
     """
-    if phi.is_unit_modulus:
+    if phi.is_unit_modulus or psi.is_zero:
         return 0j, float(log_gauge_grid(psi, phi, 0j))
     a, b = phi.a, phi.b
     alpha = (1.0 - abs(a) ** 2) / 2.0
@@ -416,7 +430,7 @@ def gauge_peak(psi: EntireFunction, phi: symbols.AffineMap) -> tuple[complex, fl
                                                 include_origin=True)))
     values = log_gauge_grid(psi, phi, zs)
     best = np.argsort(values)[-_POLISHED:]
-    return _polish(psi, phi, zs[best], values[best])
+    return _newton_ascent(psi, phi, zs[best], values[best])
 
 
 def default_bound_grid() -> np.ndarray:

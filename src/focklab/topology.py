@@ -169,8 +169,8 @@ def distance_lower_bound(phi: AffineMap, other: AffineMap, p: float, q: float,
                          spec: QuadratureSpec | None = None) -> float:
     """Certified lower bound on ||C_phi - C_other|| from kernel witnesses.
 
-    sup over the grid of ||(C_phi - C_other) k_w||_q; since every kernel has
-    unit norm, each value already bounds the operator distance from below.
+    sup over the grid of ||(C_phi - C_other) k_w||_q less its error estimate,
+    and at least 0; every kernel has unit norm, so each bounds the distance.
     For distinct bounded composition symbols the bound approaches at least 1
     as the grid radius grows; the default grid reaches |w| = 6.
     """
@@ -188,7 +188,8 @@ def distance_lower_bound(phi: AffineMap, other: AffineMap, p: float, q: float,
             symbols.compose_affine(kernel(w), phi),
             symbols.compose_affine(kernel(w), other),
         )
-        best = max(best, fock_norm(image, q, spec).value)
+        norm = fock_norm(image, q, spec)
+        best = max(best, norm.value - norm.error_estimate)
     return best
 
 

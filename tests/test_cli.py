@@ -389,6 +389,53 @@ def test_opnorm_command_exit_contract(terms, modulus, angle, b_re, b_im, p, q, s
         assert strict_json(out.getvalue())["results"]["theory_upper"]
 
 
+# slopes just below 1 give gauges whose log peak |rate|^2 / (2 (1 - |a|^2))
+# passes the float range
+_slope_near_one = st.one_of(_slope, st.sampled_from([0.999, 0.999999]), st.floats(0.99, 1.0))
+
+
+def _map_text(modulus: float, angle: float, b_re: float, b_im: float) -> str:
+    a = modulus * complex(math.cos(angle), math.sin(angle))
+    return f"{a.real!r}{a.imag:+.17g}i,{b_re!r}{b_im:+.17g}i"
+
+
+def _contract_results(argv: list[str]) -> dict | None:
+    """Run the command under the exit contract: a documented exit code, and
+    either one stderr line or a strict JSON report, whose results it returns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return None
+    return strict_json(out.getvalue())["results"]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(_term, min_size=1, max_size=2), _slope_near_one, st.floats(-math.pi, math.pi),
+       _shift, _shift, _exponent, _exponent)
+def test_component_command_exit_contract(terms, modulus, angle, b_re, b_im, p, q):
+    results = _contract_results(["component", "--psi", _symbol_text(terms),
+                                 "--phi", _map_text(modulus, angle, b_re, b_im),
+                                 "--p", repr(p), "--q", repr(q)])
+    assert results is None or results["kind"]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(_term, min_size=1, max_size=2), _slope_near_one, st.floats(-math.pi, math.pi),
+       st.lists(_term, min_size=1, max_size=2), _slope, st.floats(-math.pi, math.pi),
+       _shift, _exponent, _exponent)
+def test_diff_command_exit_contract(terms1, modulus1, angle1, terms2, modulus2, angle2, b,
+                                    p, q):
+    results = _contract_results(["diff", "--psi1", _symbol_text(terms1),
+                                 "--phi1", _map_text(modulus1, angle1, b, 0.0),
+                                 "--psi2", _symbol_text(terms2),
+                                 "--phi2", _map_text(modulus2, angle2, 0.0, b),
+                                 "--p", repr(p), "--q", repr(q)])
+    assert results is None or isinstance(results["compact"], bool)
+
+
 def test_cli_reads_values_that_start_with_a_dash(capsys):
     argv = ["classify", "--psi", "-1", "--p", "2", "--q", "2"]
     assert main([*argv, "--phi", "-0.5,0"]) == 0

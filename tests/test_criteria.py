@@ -180,8 +180,29 @@ def test_numeric_matches_symbolic_sup(rng):
         alpha = (1.0 - abs(phi.a) ** 2) / 2.0
         w = d + phi.b.conjugate() * phi.a
         closed = math.log(abs(c)) + abs(w) ** 2 / (4.0 * alpha) + abs(phi.b) ** 2 / 2.0
-        _, log_peak = gauge_peak(sy.exp_term(d, c), phi)
+        z, log_peak = gauge_peak(sy.exp_term(d, c), phi)
         assert math.isclose(log_peak, closed, rel_tol=1e-12, abs_tol=1e-12)
+        argmax = w.conjugate() / (2.0 * alpha)
+        assert abs(z - argmax) <= 1e-12 * max(1.0, abs(argmax))
+
+
+def test_gauge_peak_hits_linear_weight_peak():
+    # psi = z + 1, phi = 1: the log gauge log|z + 1| - |z|^2/2 + 1/2 peaks on
+    # the real axis where 1/(x + 1) = x, at x = (sqrt 5 - 1)/2; the log value
+    # is mpmath's to 17 digits
+    z, log_peak = gauge_peak(sy.add(sy.variable(), sy.ONE), AffineMap(0.0, 1.0))
+    assert abs(z - (math.sqrt(5.0) - 1.0) / 2.0) <= 1e-12
+    assert abs(log_peak - 0.7902288194345509) <= 2 * math.ulp(0.7902288194345509)
+
+
+def test_gauge_peak_past_the_float_range():
+    # psi = e^{dz} with |d|^2 / (4 alpha) ~ 1000: psi overflows at the peak
+    # conj(d) / (2 alpha), while its log gauge |d|^2 / (4 alpha) is finite
+    for d, a in ((2.0, 0.999), (2j, 0.999j), (-2.0, 0.999999)):
+        alpha = (1.0 - abs(a) ** 2) / 2.0
+        z, log_peak = gauge_peak(sy.exp_term(d), AffineMap(a, 0.0))
+        assert math.isclose(log_peak, abs(d) ** 2 / (4.0 * alpha), rel_tol=1e-12)
+        assert abs(z - complex(d).conjugate() / (2.0 * alpha)) <= 1e-12 * abs(z)
 
 
 def test_plane_norm_oracles():

@@ -3,11 +3,13 @@
 The values in ``data/gauge_frozen.json`` were produced by the earlier
 multi-start scalar coordinate ascent (per-term stationary points and three
 polar seed rings, one scalar ``log_abs`` call per probe), which shares no
-code with the batched grid-and-polish maximizer.  Both routines report the
+code with the batched maximizer (a seeded polar grid, then a damped Newton
+ascent on the exact derivatives of the log gauge).  Both routines report the
 best point they found, so a maximum is a lower bound for the true supremum:
 the current routine must reach every frozen value to within ``RTOL``.  The
 symbol pairs are stored with the values, so the file does not depend on the
-random generators.  To regenerate after a deliberate change:
+random generators.  The same pairs hold the ascent to its round budget.  To
+regenerate the values after a deliberate change:
 
     PYTHONPATH=src python tests/test_gauge_frozen.py
 """
@@ -20,7 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focklab.fock import gauge_peak, sup_norm
+from focklab import fock
+from focklab.fock import gauge_peak, log_gauge_grid, sup_norm
 from focklab.sampling import random_affine, random_entire_function
 from focklab.symbols import AffineMap, EntireFunction, PolyExpTerm
 
@@ -64,6 +67,27 @@ def test_gauge_peak_and_sup_norm_reach_frozen(chunk):
         # a relative shortfall of RTOL on the gauge is log(1 - RTOL) in the log
         assert log_peak >= case["log_gauge_peak"] + math.log1p(-RTOL), case
         assert sup_norm(psi).value >= case["sup_norm"] * (1.0 - RTOL), case
+
+
+def test_gauge_peak_newton_rounds(monkeypatch):
+    # each ascent round evaluates the log gauge once, after the seed grid;
+    # the counts are deterministic, so the budget is exact
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return log_gauge_grid(*args)
+
+    monkeypatch.setattr(fock, "log_gauge_grid", counting)
+    rounds = []
+    for case in _frozen():
+        calls = 0
+        gauge_peak(_unpack_psi(case["psi"]), AffineMap(complex(*case["a"]), complex(*case["b"])))
+        rounds.append(calls - 1)
+    assert len(rounds) == 100
+    assert np.median(rounds) <= 6
+    assert max(rounds) < fock._MAX_ROUNDS
 
 
 def _generate() -> dict:

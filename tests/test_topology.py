@@ -8,6 +8,7 @@ from focklab import symbols as sy
 from focklab import topology
 from focklab.criteria import classify
 from focklab.errors import HypothesisViolated, NotBounded
+from focklab.fock import fock_norm, kernel
 from focklab.operators import (
     FamilySpec,
     WeightedCompositionOperator,
@@ -119,6 +120,20 @@ def test_distance_lower_bound_small_grid():
     assert d >= 0.99
     with pytest.raises(ValueError):
         distance_lower_bound(IDENTITY, AffineMap(1.0, 0.0), 2.0, 2.0)
+
+
+def test_distance_lower_bound_counts_each_witness_below_its_estimate():
+    # certified: a witness contributes its norm less the norm's error estimate
+    grid = polar_grid(3.0, 2, 4)
+    phi1, phi2 = AffineMap(0.5, 0.0), AffineMap(0.25, 0.3)
+    for q in (1.5, 2.0):
+        witnesses = [fock_norm(sy.sub(sy.compose_affine(kernel(w), phi1),
+                                      sy.compose_affine(kernel(w), phi2)), q, CHECK_SPEC)
+                     for w in grid]
+        d = distance_lower_bound(phi1, phi2, 2.0, q, w_grid=grid, spec=CHECK_SPEC)
+        assert d == max(0.0, max(n.value - n.error_estimate for n in witnesses))
+        assert all(n.error_estimate > 0.0 for n in witnesses)
+        assert d < max(n.value for n in witnesses)
 
 
 def test_distance_respects_triangle_sanity():
