@@ -2,7 +2,7 @@
 """Sweep ``gauge_peak`` against a dense local grid and count its ascent rounds.
 
 The pairs are the 100 frozen pairs of ``tests/data/gauge_frozen.json`` plus
-``--count`` harder random ones (|a| <= 0.99, up to 6 terms, rates up to 4,
+300 harder random ones (|a| <= 0.99, up to 6 terms, rates up to 4,
 |b| up to 4).  For each pair the script scans the log gauge on square grids
 of 41 x 41 points and half-widths 1e-1, 1e-4 and 1e-7 around the returned
 point, and records the shortfall max(grid) - log value: positive where a
@@ -10,13 +10,13 @@ grid point beats the maximizer.  It also counts the ascent rounds of each
 call (its ``log_gauge_grid`` calls after the seed grid) and prints, per
 class, the worst shortfall, the median, p90 and maximum rounds and the wall
 time.  The exit code is 1 if a shortfall exceeds 1e-12 (1 + |log value|)
-or a call reaches the round cap.
+or a call reaches the round cap.  The frozen pairs and the round count come
+from ``tests/test_gauge_frozen.py``, whose round test reads them the same way.
 
-Usage: python3 scripts/peak_sweep.py [--seed 0] [--count 300]
+Usage: python3 scripts/peak_sweep.py [--seed 0]
 """
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -26,26 +26,20 @@ import numpy as np
 
 from focklab import fock
 from focklab.sampling import random_affine, random_entire_function
-from focklab.symbols import AffineMap, EntireFunction, PolyExpTerm
+from focklab.symbols import AffineMap, EntireFunction
 
-FROZEN = Path(__file__).resolve().parent.parent / "tests" / "data" / "gauge_frozen.json"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from test_gauge_frozen import frozen_pairs, gauge_peak_rounds  # noqa: E402
+
+COUNT = 300
 HALF_WIDTHS = (1e-1, 1e-4, 1e-7)
 TOLERANCE = 1e-12
 
 
-def frozen_pairs() -> list[tuple[EntireFunction, AffineMap]]:
-    out = []
-    for case in json.loads(FROZEN.read_text())["pairs"]:
-        psi = EntireFunction(tuple(PolyExpTerm(tuple(complex(*c) for c in coeffs), complex(*rate))
-                                   for coeffs, rate in case["psi"]))
-        out.append((psi, AffineMap(complex(*case["a"]), complex(*case["b"]))))
-    return out
-
-
-def hard_pairs(rng: np.random.Generator, count: int) -> list[tuple[EntireFunction, AffineMap]]:
+def hard_pairs(rng: np.random.Generator) -> list[tuple[EntireFunction, AffineMap]]:
     return [(random_entire_function(rng, max_terms=6, max_degree=3, rate_radius=4.0),
              random_affine(rng, regime="interior", a_max=0.99, b_radius=4.0))
-            for _ in range(count)]
+            for _ in range(COUNT)]
 
 
 def local_shortfall(psi: EntireFunction, phi: AffineMap, z: complex, value: float) -> float:
@@ -57,24 +51,12 @@ def local_shortfall(psi: EntireFunction, phi: AffineMap, z: complex, value: floa
 
 def sweep(pairs) -> tuple[float, list[int], float]:
     """(worst relative shortfall, rounds per call, wall seconds)."""
-    grid_calls = 0
-    plain = fock.log_gauge_grid
-
-    def counting(*args):
-        nonlocal grid_calls
-        grid_calls += 1
-        return plain(*args)
-
     worst, rounds, wall = -math.inf, [], 0.0
     for psi, phi in pairs:
-        fock.log_gauge_grid, grid_calls = counting, 0
         start = time.perf_counter()
-        try:
-            z, value = fock.gauge_peak(psi, phi)
-        finally:
-            wall += time.perf_counter() - start
-            fock.log_gauge_grid = plain
-        rounds.append(grid_calls - 1)
+        z, value, count = gauge_peak_rounds(psi, phi)
+        wall += time.perf_counter() - start
+        rounds.append(count)
         worst = max(worst, local_shortfall(psi, phi, z, value) / (1.0 + abs(value)))
     return worst, rounds, wall
 
@@ -82,13 +64,13 @@ def sweep(pairs) -> tuple[float, list[int], float]:
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--count", type=int, default=300)
     args = parser.parse_args()
     rng = np.random.default_rng(args.seed)
 
     print("class,pairs,worst_shortfall,median_rounds,p90_rounds,max_rounds,wall_s")
     failed = False
-    for name, pairs in (("frozen", frozen_pairs()), ("hard", hard_pairs(rng, args.count))):
+    for name, pairs in (("frozen", [(psi, phi) for psi, phi, _ in frozen_pairs()]),
+                        ("hard", hard_pairs(rng))):
         worst, rounds, wall = sweep(pairs)
         median, p90 = np.percentile(rounds, [50, 90])
         print(f"{name},{len(pairs)},{worst:.3g},{median:g},{p90:g},{max(rounds)},{wall:.2f}")

@@ -389,8 +389,9 @@ def test_opnorm_command_exit_contract(terms, modulus, angle, b_re, b_im, p, q, s
         assert strict_json(out.getvalue())["results"]["theory_upper"]
 
 
-# slopes just below 1 give gauges whose log peak |rate|^2 / (2 (1 - |a|^2))
-# passes the float range
+# slopes just below 1 put the inputs at overflow scale (the gauge's log peak
+# |rate|^2 / (2 (1 - |a|^2)) passes the float range); component and diff decide
+# symbolically, so these check that their decisions keep the contract there
 _slope_near_one = st.one_of(_slope, st.sampled_from([0.999, 0.999999]), st.floats(0.99, 1.0))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from focklab import fock
-from focklab.fock import gauge_peak, log_gauge_grid, sup_norm
+from focklab.fock import gauge_peak, sup_norm
 from focklab.sampling import random_affine, random_entire_function
 from focklab.symbols import AffineMap, EntireFunction, PolyExpTerm
 
@@ -54,37 +54,43 @@ def _pairs() -> list[tuple[EntireFunction, AffineMap]]:
     return out
 
 
-def _frozen() -> list[dict]:
-    return json.loads(FROZEN.read_text())["pairs"]
+def frozen_pairs() -> list[tuple[EntireFunction, AffineMap, dict]]:
+    """The frozen pairs as symbols, each with its stored record."""
+    return [(_unpack_psi(case["psi"]), AffineMap(complex(*case["a"]), complex(*case["b"])), case)
+            for case in json.loads(FROZEN.read_text())["pairs"]]
+
+
+def gauge_peak_rounds(psi: EntireFunction, phi: AffineMap) -> tuple[complex, float, int]:
+    """``gauge_peak``'s point and log value, and its ascent rounds: each round
+    evaluates the log gauge once, after the seed grid."""
+    calls = 0
+    plain = fock.log_gauge_grid
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return plain(*args)
+
+    fock.log_gauge_grid = counting
+    try:
+        z, log_peak = gauge_peak(psi, phi)
+    finally:
+        fock.log_gauge_grid = plain
+    return z, log_peak, calls - 1
 
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_gauge_peak_and_sup_norm_reach_frozen(chunk):
-    for case in _frozen()[chunk::4]:
-        psi = _unpack_psi(case["psi"])
-        phi = AffineMap(complex(*case["a"]), complex(*case["b"]))
+    for psi, phi, case in frozen_pairs()[chunk::4]:
         _, log_peak = gauge_peak(psi, phi)
         # a relative shortfall of RTOL on the gauge is log(1 - RTOL) in the log
         assert log_peak >= case["log_gauge_peak"] + math.log1p(-RTOL), case
         assert sup_norm(psi).value >= case["sup_norm"] * (1.0 - RTOL), case
 
 
-def test_gauge_peak_newton_rounds(monkeypatch):
-    # each ascent round evaluates the log gauge once, after the seed grid;
+def test_gauge_peak_newton_rounds():
     # the counts are deterministic, so the budget is exact
-    calls = 0
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return log_gauge_grid(*args)
-
-    monkeypatch.setattr(fock, "log_gauge_grid", counting)
-    rounds = []
-    for case in _frozen():
-        calls = 0
-        gauge_peak(_unpack_psi(case["psi"]), AffineMap(complex(*case["a"]), complex(*case["b"])))
-        rounds.append(calls - 1)
+    rounds = [gauge_peak_rounds(psi, phi)[2] for psi, phi, _ in frozen_pairs()]
     assert len(rounds) == 100
     assert np.median(rounds) <= 6
     assert max(rounds) < fock._MAX_ROUNDS
