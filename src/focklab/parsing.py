@@ -8,6 +8,11 @@ nonnegative integers, and the argument of ``exp`` must be a polynomial of
 degree at most one, so that every well-formed expression lands inside the
 poly-exp symbol class.  ``render`` writes a canonical form that parses back
 to the identical function.
+
+A subexpression free of ``z`` folds to a plain ``complex`` (``0j`` for the
+zero function) by the same float operations and admissibility checks that
+``symbols.add``, ``scale`` and ``mul`` apply to constant symbols; it becomes
+a symbol only where it meets one that depends on ``z``, or at the end.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
 
 from . import symbols
 from .errors import ParseError
@@ -23,9 +27,10 @@ from .symbols import EntireFunction
 
 _TOKEN = re.compile(
     r"\s*(?:"
-    r"(?P<number>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?i?)"
+    r"(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?i?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"
     r")"
 )
 
@@ -34,55 +39,66 @@ _MAX_POWER = 64
 # recursion far inside the interpreter's stack limit
 _MAX_NESTING = 64
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | imag | name | op | end
-    text: str
-    position: int
-    value: float = 0.0
+# a token is (kind, text, position, value) with kind number | imag | name | op | end
+_Token = tuple[str, str, int, float]
+_Value = complex | EntireFunction  # complex while free of z
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            offending = pos + len(text[pos:]) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", offending)
-        if m.group("number"):
-            raw = m.group("number")
-            imag = raw.endswith("i")
-            value = float(raw[:-1] if imag else raw)
+    for m in _TOKEN.finditer(text):
+        kind, token = m.lastgroup, m.group(m.lastgroup)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {token!r}", m.start(kind))
+        if kind == "number":
+            imag = token.endswith("i")
+            value = float(token[:-1] if imag else token)
             if not math.isfinite(value):
-                raise ParseError(f"literal {raw!r} is not a finite number", m.start("number"))
-            tokens.append(_Token("imag" if imag else "number", raw, m.start(), value))
-        elif m.group("name"):
-            name = m.group("name")
-            if name == "i":
-                tokens.append(_Token("imag", name, m.start(), 1.0))
-            else:
-                tokens.append(_Token("name", name, m.start()))
+                raise ParseError(f"literal {token!r} is not a finite number", m.start(kind))
+            tokens.append(("imag" if imag else "number", token, m.start(), value))
+        elif token == "i":
+            tokens.append(("imag", token, m.start(), 1.0))
         else:
-            tokens.append(_Token("op", m.group("op"), m.start()))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(text)))
+            tokens.append((kind, token, m.start(), 0.0))
+    tokens.append(("end", "", len(text), 0.0))
     return tokens
+
+
+def _lift(v: _Value) -> EntireFunction:
+    return symbols.constant(v) if isinstance(v, complex) else v
+
+
+def _add(f: _Value, g: _Value) -> _Value:
+    if not (isinstance(f, complex) and isinstance(g, complex)):
+        return symbols.add(_lift(f), _lift(g))
+    if f == 0 or g == 0:
+        return g if f == 0 else f
+    # symbols._canonical's merge: a sum within the rounding error of its
+    # summands' moduli is zero, unless that bound overflows
+    moduli, s = abs(f) + abs(g), f + g
+    if moduli < math.inf and abs(s) <= symbols._EPS * moduli:
+        return 0j
+    return symbols._check_finite(s, "coefficient")
+
+
+def _scale(f: _Value, c: complex) -> _Value:
+    c = symbols._check_finite(c, "scalar")
+    if not isinstance(f, complex):
+        return symbols.scale(f, c)
+    return 0j if c == 0 or f == 0 else symbols._check_finite(c * f, "coefficient")
+
+
+def _mul(f: _Value, g: _Value) -> _Value:
+    if not (isinstance(f, complex) and isinstance(g, complex)):
+        return symbols.mul(_lift(f), _lift(g))
+    return 0j if f == 0 or g == 0 else symbols._check_finite(0j + f * g, "coefficient")
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
 
     def take(self) -> _Token:
         tok = self.tokens[self.index]
@@ -90,116 +106,123 @@ class _Parser:
         return tok
 
     def expect_op(self, op: str) -> None:
-        tok = self.take()
-        if tok.kind != "op" or tok.text != op:
-            raise ParseError(f"expected {op!r}, found {tok.text or 'end of input'!r}", tok.position)
+        kind, text, position, _ = self.take()
+        if kind != "op" or text != op:
+            raise ParseError(f"expected {op!r}, found {text or 'end of input'!r}", position)
 
-    def parse(self) -> EntireFunction:
+    def parse(self) -> _Value:
         value = self.expression()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"trailing input {tok.text!r}", tok.position)
+        kind, text, position, _ = self.tokens[self.index]
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", position)
         return value
 
-    def expression(self) -> EntireFunction:
+    def expression(self) -> _Value:
         value = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
+        # only op tokens have the text of an operator
+        while self.tokens[self.index][1] in ("+", "-"):
+            op = self.take()[1]
             rhs = self.term()
-            value = symbols.add(value, rhs if op == "+" else symbols.negate(rhs))
+            value = _add(value, rhs if op == "+" else _scale(rhs, -1.0))
         return value
 
-    def term(self) -> EntireFunction:
+    def term(self) -> _Value:
         value = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take()
+        while self.tokens[self.index][1] in ("*", "/"):
+            _, op, position, _ = self.take()
             rhs = self.unary()
-            if op.text == "*":
-                value = symbols.mul(value, rhs)
+            if op == "*":
+                value = _mul(value, rhs)
             else:
-                divisor = symbols.constant_value(rhs)
+                divisor = rhs if isinstance(rhs, complex) else symbols.constant_value(rhs)
                 if divisor is None or divisor == 0:
-                    raise ParseError("division is allowed by nonzero constants only", op.position)
-                value = symbols.scale(value, 1.0 / divisor)
+                    raise ParseError("division is allowed by nonzero constants only", position)
+                value = _scale(value, 1.0 / divisor)
         return value
 
-    def unary(self) -> EntireFunction:
+    def unary(self) -> _Value:
         self.depth += 1
         if self.depth > _MAX_NESTING:
             raise ParseError(f"expression nests deeper than {_MAX_NESTING} levels",
-                             self.peek().position)
-        if self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.take().text
+                             self.tokens[self.index][2])
+        if self.tokens[self.index][1] in ("+", "-"):
+            op = self.take()[1]
             value = self.unary()
-            value = symbols.negate(value) if op == "-" else value
+            value = _scale(value, -1.0) if op == "-" else value
         else:
             value = self.power()
         self.depth -= 1
         return value
 
-    def power(self) -> EntireFunction:
+    def power(self) -> _Value:
         base = self.atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
-            caret = self.take()
-            tok = self.take()
-            if tok.kind != "number" or int(tok.value) != tok.value or tok.value < 0:
-                raise ParseError("exponent must be a nonnegative integer", tok.position)
-            n = int(tok.value)
+        while self.tokens[self.index][1] == "^":
+            caret = self.take()[2]
+            kind, _, position, exponent = self.take()
+            if kind != "number" or int(exponent) != exponent or exponent < 0:
+                raise ParseError("exponent must be a nonnegative integer", position)
+            n = int(exponent)
             if n > _MAX_POWER:
-                raise ParseError(f"exponent exceeds the cap {_MAX_POWER}", caret.position)
-            result = symbols.ONE
+                raise ParseError(f"exponent exceeds the cap {_MAX_POWER}", caret)
+            result = 1 + 0j if isinstance(base, complex) else symbols.ONE
             for _ in range(n):
-                result = symbols.mul(result, base)
+                result = _mul(result, base)
             base = result
         return base
 
-    def atom(self) -> EntireFunction:
-        tok = self.take()
-        if tok.kind == "number":
-            return symbols.constant(tok.value)
-        if tok.kind == "imag":
-            return symbols.constant(complex(0.0, tok.value))
-        if tok.kind == "name":
-            if tok.text == "z":
+    def atom(self) -> _Value:
+        kind, text, position, value = self.take()
+        if kind == "number":
+            return complex(value)
+        if kind == "imag":
+            return complex(0.0, value)
+        if kind == "name":
+            if text == "z":
                 return symbols.variable()
-            if tok.text == "exp":
+            if text == "exp":
                 self.expect_op("(")
                 arg = self.expression()
                 self.expect_op(")")
-                return _exp_of(arg, tok.position)
-            raise ParseError(f"unknown name {tok.text!r}", tok.position)
-        if tok.kind == "op" and tok.text == "(":
+                return _exp_of(arg, position)
+            raise ParseError(f"unknown name {text!r}", position)
+        if text == "(":
             value = self.expression()
             self.expect_op(")")
             return value
-        raise ParseError(f"unexpected token {tok.text or 'end of input'!r}", tok.position)
+        raise ParseError(f"unexpected token {text or 'end of input'!r}", position)
 
 
-def _exp_of(arg: EntireFunction, position: int) -> EntireFunction:
-    if arg.is_zero:
-        return symbols.ONE
-    if len(arg.terms) == 1 and abs(arg.terms[0].rate) <= symbols.TOL_SYM and arg.terms[0].degree <= 1:
-        coeffs = arg.terms[0].coeffs
-        shift = coeffs[0]
-        rate = coeffs[1] if len(coeffs) > 1 else 0j
-        try:
-            factor = cmath.exp(shift)
-        except OverflowError:
-            raise ParseError("exp of the argument's constant part overflows", position) from None
-        return symbols.exp_term(rate, factor)
-    raise ParseError("argument of exp must be a polynomial of degree at most one", position)
+def _exp_of(arg: _Value, position: int) -> _Value:
+    shift, rate = (arg if isinstance(arg, complex) else 0j), 0j
+    if not isinstance(arg, complex) and arg.terms:
+        t = arg.terms[0]
+        if len(arg.terms) > 1 or abs(t.rate) > symbols.TOL_SYM or t.degree > 1:
+            raise ParseError("argument of exp must be a polynomial of degree at most one", position)
+        shift, rate = t.coeffs[0], (t.coeffs[1] if t.degree else 0j)
+    if shift == 0 and rate == 0:
+        return 1 + 0j
+    try:
+        factor = cmath.exp(shift)
+    except OverflowError:
+        raise ParseError("exp of the argument's constant part overflows", position) from None
+    return factor if rate == 0 else symbols.exp_term(rate, factor)
 
 
-def parse_symbol(text: str) -> EntireFunction:
-    """Parse an expression in the documented grammar into canonical form."""
+def _parse(text: str) -> _Value:
     if not text.strip():
         raise ParseError("empty symbol expression", 0)
     return _Parser(text).parse()
 
 
+def parse_symbol(text: str) -> EntireFunction:
+    """Parse an expression in the documented grammar into canonical form."""
+    return _lift(_parse(text))
+
+
 def parse_complex(text: str) -> complex:
     """A constant in the same grammar, e.g. ``0.5-1i`` or ``-0.25``."""
-    value = symbols.constant_value(parse_symbol(text))
+    value = _parse(text)
+    value = (value or 0j) if isinstance(value, complex) else symbols.constant_value(value)
     if value is None:
         raise ParseError("expected a constant expression", 0)
     return value

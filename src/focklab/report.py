@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from . import symbols
 from .config import RunConfig
 from .criteria import (
     ANNULUS_RADII,
@@ -35,6 +37,7 @@ from .operators import (
     matrix_sigma_max,
 )
 from .parsing import parse_affine, parse_complex, parse_radii, parse_symbol, render
+from .quadrature import QuadratureSpec
 from .symbols import AffineMap
 from .topology import (
     RULE_COMPONENTS,
@@ -169,13 +172,31 @@ def _handle_classify(options, config: RunConfig) -> Report:
     )
 
 
+def _rank_one_lower(op: WeightedCompositionOperator, spec: QuadratureSpec) -> float:
+    """e^{|b|^2/2} (||psi||_q - estimate) for a = 0: the operator f -> psi f(b)
+    has rank one, and the kernel at b attains its norm e^{|b|^2/2} ||psi||_q.
+
+    The product is taken in logs, since e^{|b|^2/2} alone can overflow;
+    past the float range float_info.max stays a lower bound."""
+    nv = fock_norm(op.psi, op.q, spec)
+    lower = nv.value - nv.error_estimate
+    if lower <= 0.0:
+        return 0.0
+    log_value = symbols.square(abs(op.phi.b)) / 2.0 + math.log(lower)
+    return min(symbols.safe_exp(log_value), sys.float_info.max)
+
+
 def _handle_opnorm(options, config: RunConfig) -> Report:
     op = _operator(options)
     family = FamilySpec(kernel_radius=config.grid_radius)
     c = classify(op, config.quadrature, family)
-    # for q < p classify's lower side already is this family's empirical norm
-    empirical = (c.norm_lower if RULE_EMPIRICAL_LOWER in c.rules
-                 else empirical_norm(op, family, config.quadrature))
+    if op.phi.is_constant_map:
+        empirical = _rank_one_lower(op, config.quadrature)
+    elif RULE_EMPIRICAL_LOWER in c.rules:
+        # for q < p classify's lower side already is this family's empirical norm
+        empirical = c.norm_lower
+    else:
+        empirical = empirical_norm(op, family, config.quadrature)
     results: dict[str, Any] = {
         "empirical_lower": ereal(empirical),
         "theory_lower": ereal(c.norm_lower),

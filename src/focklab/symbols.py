@@ -42,10 +42,19 @@ _NEWTON_STEPS = 60
 _WINDING_MAX_NODES = 1 << 16
 
 
+def _finite_moduli(values: Iterable[complex]) -> bool:
+    """Whether every value has finite parts and a modulus inside the float range."""
+    try:
+        return all(map(math.isfinite, map(abs, values)))
+    except OverflowError:  # finite parts whose modulus overflows
+        return False
+
+
 def _check_finite(w: complex, what: str) -> complex:
     w = complex(w)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        raise Inadmissible(f"{what} must have finite real and imaginary parts, got {w!r}")
+    if not _finite_moduli((w,)):
+        need = "a modulus inside the float range" if cmath.isfinite(w) else "finite real and imaginary parts"
+        raise Inadmissible(f"{what} must have {need}, got {w!r}")
     return w
 
 
@@ -109,15 +118,21 @@ class PolyExpTerm:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("PolyExpTerm needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(_check_finite(c, "coefficient") for c in self.coeffs))
-        object.__setattr__(self, "rate", _check_finite(self.rate, "rate"))
+        coeffs, rate = tuple(map(complex, self.coeffs)), complex(self.rate)
+        if not _finite_moduli((*coeffs, rate)):  # name the offending value
+            coeffs = tuple(_check_finite(c, "coefficient") for c in coeffs)
+            rate = _check_finite(rate, "rate")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rate", rate)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
 
-def _canonical(terms: Iterable[PolyExpTerm]) -> tuple[PolyExpTerm, ...]:
+def _canonical(terms: Sequence[PolyExpTerm]) -> tuple[PolyExpTerm, ...]:
+    if len(terms) == 1 and terms[0].coeffs[-1] != 0:
+        return tuple(terms)
     items: list[tuple[complex, list[complex]]] = []
     for t in terms:
         items.append((t.rate, list(t.coeffs)))
@@ -136,12 +151,14 @@ def _canonical(terms: Iterable[PolyExpTerm]) -> tuple[PolyExpTerm, ...]:
 
     # a trailing coefficient goes only when it is zero or within the
     # rounding error of the sum that merged it: z^k carries norm about
-    # sqrt(k!), so a small top coefficient can hold much of the norm
+    # sqrt(k!), so a small top coefficient can hold much of the norm.  Summed
+    # moduli past the float range bound nothing; PolyExpTerm checks the sum
     out = []
     for rate, coeffs, moduli, count in merged:
         noise = (count - 1) * _EPS
         k = len(coeffs)
-        while k > 0 and abs(coeffs[k - 1]) <= noise * moduli[k - 1]:
+        while k > 0 and (coeffs[k - 1] == 0 or moduli[k - 1] < math.inf
+                         and abs(coeffs[k - 1]) <= noise * moduli[k - 1]):
             k -= 1
         if k:
             out.append(PolyExpTerm(tuple(coeffs[:k]), rate))
@@ -381,7 +398,7 @@ def compose_affine(f: EntireFunction, phi: "AffineMap") -> EntireFunction:
                 rebased = _poly_add(rebased, [pk * c for c in power])
         front = _cexp(t.rate * b)
         coeffs = tuple(front * c for c in rebased)
-        if not all(cmath.isfinite(c) for c in coeffs):
+        if not _finite_moduli(coeffs):
             raise NumericFailure("f(a z + b) has a coefficient beyond the float range")
         terms.append(PolyExpTerm(coeffs, t.rate * a))
     return EntireFunction(tuple(terms))

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import focklab
 
 from focklab import cli
+from focklab import report as report_module
 from focklab import symbols as sy
 from focklab.cli import main
 from focklab.config import RunConfig
@@ -150,6 +152,33 @@ def test_cli_matrix_overflow_prints_one_line():
                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 3
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_overflowing_sum_exits_2_like_an_overflowing_product(capsys):
+    # 1e308 + 1e308 overflows: the sum is refused, not read as the zero function
+    line = "error: coefficient must have finite real and imaginary parts, got (inf+0j)\n"
+    assert main(["norm", "--symbol", "1e300*1e300*z", "--p", "2"]) == 2
+    assert capsys.readouterr().err == line
+    assert main(["norm", "--symbol", "1e308*z + 1e308*z", "--p", "2"]) == 2
+    assert capsys.readouterr().err == line
+    assert main(["classify", "--psi", "1e308*z+1e308*z", "--phi", "0.5,0", "--p", "2", "--q", "2"]) == 2
+    assert capsys.readouterr().err == line
+
+
+def test_opnorm_on_a_constant_map_reads_the_rank_one_norm(monkeypatch):
+    # f -> psi f(b) has rank one and norm e^{|b|^2/2} ||psi||_q, and
+    # ||c e^{dz}||_q = |c| e^{|d|^2/2} for every q
+    monkeypatch.setattr(report_module, "empirical_norm", None)  # the family is not run
+    options = {"psi": "(1+2i)*exp((0.5-1i)*z)", "phi": "0,0.5", "p": 3.0, "q": 1.5}
+    factor = math.exp(0.5**2 / 2.0)
+    exact = factor * abs(1 + 2j) * math.exp(abs(0.5 - 1j) ** 2 / 2.0)
+    lower = run("opnorm", options, RunConfig()).results["empirical_lower"]["value"]
+    estimate = run("norm", {"symbol": options["psi"], "p": 1.5}, RunConfig()).results["error_estimate"]
+    assert exact - 2.0 * factor * estimate - 8 * math.ulp(exact) <= lower <= exact + 8 * math.ulp(exact)
+    # a weight without a closed form took seconds through the family
+    start = time.perf_counter()
+    run("opnorm", dict(options, psi="(1+2i)*z^2*exp((0.5-1i)*z)+3"), RunConfig())
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,18 @@
 """Grammar round-trips and error positions."""
 
 import cmath
+import json
+import math
+import sys
+from pathlib import Path
+from typing import Callable
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from focklab import symbols as sy
-from focklab.errors import ParseError
+from focklab.errors import FocklabError, Inadmissible, ParseError
 from focklab.parsing import parse_affine, parse_complex, parse_symbol, render
 from focklab.fock import kernel
 from focklab.sampling import random_entire_function
@@ -52,6 +59,22 @@ def test_render_round_trip_corpus(rng):
         assert again.terms == f.terms
 
 
+_GRAMMAR_TOKENS = ("z", "i", "exp", "(", ")", "+", "-", "*", "/", "^", ",", "0", "1", "2", "0.5",
+                   "3i", "64", "65", "1e308", "1e-320", "1e400", "x", " ")
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=12))
+@example(["(", "2", "+", "3i", ")", "*", "0.5", "*", "1e308", "+", "1"])  # a modulus overflow
+@example(["1e308", "*", "z", "+", "1e308", "*", "z"])  # an overflowing sum
+def test_parse_raises_only_grammar_and_admissibility_errors(tokens):
+    try:
+        f = parse_symbol("".join(tokens))
+    except (ParseError, Inadmissible):
+        return
+    assert isinstance(f, sy.EntireFunction)
+
+
 def test_parse_affine_and_complex():
     phi = parse_affine("0.5+0.5i,1-1i")
     assert phi.a == 0.5 + 0.5j and phi.b == 1 - 1j
@@ -63,3 +86,122 @@ def test_parse_affine_and_complex():
         parse_complex("z")
     with pytest.raises(ValueError):
         parse_affine("2,0")
+
+
+# ------------------------------------------------------------ frozen corpus
+#
+# ``data/parse_frozen.json`` holds, for a fixed set of symbol and map texts,
+# the exact parse result: every coefficient and rate as float.hex, or the
+# exception's type, message and position.  Parsing must reproduce it bit for
+# bit.  A change that alters a parse on purpose regenerates the file with
+#
+#     PYTHONPATH=src python tests/test_parsing.py
+#
+# and lists every changed row in CHANGES.md.
+
+FROZEN = Path(__file__).parent / "data" / "parse_frozen.json"
+GOLDEN = Path(__file__).parent / "data" / "reports_golden.json"
+SEED = 5516
+
+EDGE_TEXTS = [
+    "(1.0-0.0i)", "-0.0", "-(0.0-0.0i)", "(0.1+0.2)-(0.3)", "i^3", "2^64", "1/1e-320",
+    "1e300*1e300*0", "1e-320/1e300", "exp(1000-1000)", "z/z", "-" * 70 + "1",
+    "-" * 64 + "1", "-" * 63 + "z", "0^0", "z^0", "(1+i)^64", "(1+i)^65", "2^-1", "z^1.5",
+    "1/(1e-320i)", "0/1e-320", "6/exp(1e-13*z)", "exp(800)*0", "exp(-800)", "exp(z-z)",
+    "exp(1+2*z)/2", "z-z+1", "(z+1)*(z-1)-z^2", "1e-320*1e-300*z", "exp(1e308*z)*exp(1e308*z)",
+    "(0.5+0.5i)*(0.5-0.5i)", "3i*i", "-(-(-z))", "+-+z", "1 + $", "z +", "exp(z^2)", "q",
+    "(1", "1 ?", "", "   ", "1e400", "2i2", "z z", "exp z", "exp()", ")", "1,2",
+    # sums and products past the float range
+    "1e308*z + 1e308*z", "1e308+1e308", "1e308*z+1e308i*z", "(1e308+1e308i)",
+    "(1e308+1e308i)*z", "(2+3i)*0.5*1e308", "(2+3i)*0.5*1e308+1", "exp((2+3i)*0.5*1e308*z)",
+    "1e308*z - 1e308*z", "1.5e308*z - 1e308*z", "1e300*1e300*z",
+]
+
+MAP_EDGES = [
+    "0,0", "-0,-0", "1,0", "-1,0", "1i,1", "1.0000000001,0", "1.0000000000001,0", "2,0", "1",
+    "1,2,3", "z,0", "0.5+0.5i,1-1i", "(0.5+0.5i),(1-1i)", "1e400,0", "exp(1e-13*z),1",
+    "0.5,1e200", "(2+3i)*0.5*1e308,0", "0.5,(2+3i)*0.5*1e308", " 0.5 , 1 ", ",", "0.5,",
+]
+
+_TOKENS = ("z", "i", "exp", "(", ")", "+", "-", "*", "/", "^", ",", "0", "1", "2", "0.5",
+           "3i", "64", "65", "1e308", "1e-320", "1e400", "x", " ")
+
+
+def _fmt(c: complex) -> str:
+    return f"({c.real!r}{'-' if c.imag < 0 else '+'}{abs(c.imag)!r}i)"
+
+
+def _corpus(rng: np.random.Generator) -> tuple[list[str], list[str]]:
+    """Symbol and map texts: benchmark-shaped weights and maps, the golden
+    report inputs, random renders, random token strings and the edge cases."""
+
+    def disc(radius: float) -> complex:
+        return complex(*rng.uniform(-radius, radius, 2))
+
+    def poly_exp() -> str:
+        degree = int(rng.integers(0, 3))
+        poly = " + ".join(_fmt(disc(1.2)) if k == 0 else f"{_fmt(disc(1.2))}*z^{k}"
+                          for k in range(degree + 1))
+        return f"({poly})*exp({_fmt(disc(0.8))}*z)"
+
+    def weyl() -> str:
+        a = disc(1.2)
+        scale = math.exp(-abs(a) ** 2 / 2.0)
+        return f"{scale!r}*exp({_fmt(a.conjugate())}*z)*(z-{_fmt(a)})^{int(rng.integers(0, 13))}"
+
+    texts = [" + ".join(poly_exp() for _ in range(1 + k % 4)) for k in range(120)]
+    texts += [f"{_fmt(disc(1.5))}*exp({_fmt(disc(0.8))}*z)" for _ in range(20)]
+    texts += [f"{_fmt(disc(1.5))}*exp({_fmt(disc(0.8))}*z) + {_fmt(disc(1.0))}*z"
+              for _ in range(10)]
+    texts += [weyl() for _ in range(40)]
+    texts += [render(random_entire_function(rng)) for _ in range(30)]
+    texts += ["".join(rng.choice(_TOKENS, size=int(rng.integers(1, 13)))) for _ in range(30)]
+    maps = [f"{_fmt(disc(0.6))},{_fmt(disc(0.8))}" for _ in range(30)]
+    maps += [f"{_fmt(cmath.exp(1j * rng.uniform(0, 2 * math.pi)))},{_fmt(disc(0.8))}"
+             for _ in range(10)]
+    maps += [f"0,{_fmt(disc(1.0))}" for _ in range(5)]
+    for case in json.loads(GOLDEN.read_text()):
+        options = case["options"]
+        texts += [options[k] for k in ("symbol", "psi", "psi1", "psi2") if k in options]
+        maps += [options[k] for k in ("phi", "phi1", "phi2") if k in options]
+    return texts + EDGE_TEXTS, maps + MAP_EDGES
+
+
+def _hex(c: complex) -> list[str]:
+    return [c.real.hex(), c.imag.hex()]
+
+
+def _outcome(read: Callable, text: str) -> dict:
+    try:
+        value = read(text)
+    except (FocklabError, ArithmeticError) as exc:
+        return {"text": text, "error": [type(exc).__name__, str(exc), getattr(exc, "position", None)]}
+    if isinstance(value, sy.AffineMap):
+        return {"text": text, "map": [_hex(value.a), _hex(value.b)]}
+    return {"text": text, "terms": [[[_hex(c) for c in t.coeffs], _hex(t.rate)] for t in value.terms]}
+
+
+def _generate() -> dict:
+    texts, maps = _corpus(np.random.default_rng(SEED))
+    return {"symbols": [_outcome(parse_symbol, t) for t in texts],
+            "maps": [_outcome(parse_affine, t) for t in maps]}
+
+
+def _dumps(frozen: dict) -> str:
+    """The frozen file's text: one line per row, so a diff shows one line per text."""
+    blocks = (f'"{key}": [\n' + ",\n".join(json.dumps(row, separators=(",", ":")) for row in rows)
+              + "\n]" for key, rows in frozen.items())
+    return "{" + ",\n".join(blocks) + "}\n"
+
+
+@pytest.mark.parametrize("kind, read", [("symbols", parse_symbol), ("maps", parse_affine)])
+def test_parse_matches_frozen_corpus(kind, read):
+    rows = json.loads(FROZEN.read_text())[kind]
+    assert len(rows) > 50
+    changed = [row for row in rows if _outcome(read, row["text"]) != row]
+    assert not changed, changed[:3]
+
+
+if __name__ == "__main__":
+    FROZEN.write_text(_dumps(_generate()))
+    sys.exit(0)

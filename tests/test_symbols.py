@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from focklab import symbols as sy
+from focklab.errors import Inadmissible
 from focklab.fock import fock_norm, kernel, magnitude_power_integrand
 from focklab.parsing import parse_symbol
 from focklab.quadrature import gaussian_integral
@@ -38,6 +39,23 @@ def test_evaluate_examples():
 def test_add_cancellation_gives_zero():
     f = sy.add(sy.exp_term(1.0), sy.negate(sy.exp_term(1.0)))
     assert f.is_zero
+
+
+def test_sums_past_the_float_range_are_not_rounding_noise():
+    big = sy.monomial(1, 1e308)
+    # the merged coefficient overflows: refused, not trimmed to the zero function
+    with pytest.raises(Inadmissible, match=r"finite real and imaginary parts, got \(inf\+0j\)"):
+        sy.add(big, big)
+    # only the summed moduli overflow: the sum is exact and kept
+    assert sy.add(sy.monomial(1, 1.5e308), sy.monomial(1, -1e308)).terms[0].coeffs == (
+        0j, complex(1.5e308 - 1e308))
+    assert sy.add(big, sy.monomial(1, 1e308j)).terms[0].coeffs == (0j, 1e308 + 1e308j)
+    assert sy.add(big, sy.negate(big)).is_zero
+    # finite parts whose modulus overflows are refused like non-finite ones
+    with pytest.raises(Inadmissible, match="modulus inside the float range"):
+        sy.add(sy.monomial(1, 1e308), sy.monomial(1, 1.5e308j))
+    with pytest.raises(Inadmissible, match="modulus inside the float range"):
+        AffineMap(0.5, 1e308 + 1.5e308j)
 
 
 def test_mul_merges_rates():
