@@ -1,4 +1,4 @@
-"""Grammar round-trips and error positions."""
+"""Grammar round-trips, error positions, the error contract and the frozen parse corpus."""
 
 import cmath
 import json
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from focklab import symbols as sy
 from focklab.errors import FocklabError, Inadmissible, ParseError
-from focklab.parsing import parse_affine, parse_complex, parse_symbol, render
+from focklab.parsing import _format_complex, parse_affine, parse_complex, parse_symbol, render
 from focklab.fock import kernel
 from focklab.sampling import random_entire_function
 
@@ -123,43 +123,35 @@ MAP_EDGES = [
     "0.5,1e200", "(2+3i)*0.5*1e308,0", "0.5,(2+3i)*0.5*1e308", " 0.5 , 1 ", ",", "0.5,",
 ]
 
-_TOKENS = ("z", "i", "exp", "(", ")", "+", "-", "*", "/", "^", ",", "0", "1", "2", "0.5",
-           "3i", "64", "65", "1e308", "1e-320", "1e400", "x", " ")
-
-
-def _fmt(c: complex) -> str:
-    return f"({c.real!r}{'-' if c.imag < 0 else '+'}{abs(c.imag)!r}i)"
-
 
 def _corpus(rng: np.random.Generator) -> tuple[list[str], list[str]]:
     """Symbol and map texts: benchmark-shaped weights and maps, the golden
     report inputs, random renders, random token strings and the edge cases."""
 
-    def disc(radius: float) -> complex:
-        return complex(*rng.uniform(-radius, radius, 2))
+    def literal(radius: float) -> str:
+        """A complex literal drawn uniformly from the square of half-side radius."""
+        return _format_complex(complex(*rng.uniform(-radius, radius, 2)))
 
     def poly_exp() -> str:
         degree = int(rng.integers(0, 3))
-        poly = " + ".join(_fmt(disc(1.2)) if k == 0 else f"{_fmt(disc(1.2))}*z^{k}"
-                          for k in range(degree + 1))
-        return f"({poly})*exp({_fmt(disc(0.8))}*z)"
+        poly = " + ".join(literal(1.2) if k == 0 else f"{literal(1.2)}*z^{k}" for k in range(degree + 1))
+        return f"({poly})*exp({literal(0.8)}*z)"
 
     def weyl() -> str:
-        a = disc(1.2)
-        scale = math.exp(-abs(a) ** 2 / 2.0)
-        return f"{scale!r}*exp({_fmt(a.conjugate())}*z)*(z-{_fmt(a)})^{int(rng.integers(0, 13))}"
+        a = complex(*rng.uniform(-1.2, 1.2, 2))
+        scale, n = math.exp(-abs(a) ** 2 / 2.0), int(rng.integers(0, 13))
+        return f"{scale!r}*exp({_format_complex(a.conjugate())}*z)*(z-{_format_complex(a)})^{n}"
 
     texts = [" + ".join(poly_exp() for _ in range(1 + k % 4)) for k in range(120)]
-    texts += [f"{_fmt(disc(1.5))}*exp({_fmt(disc(0.8))}*z)" for _ in range(20)]
-    texts += [f"{_fmt(disc(1.5))}*exp({_fmt(disc(0.8))}*z) + {_fmt(disc(1.0))}*z"
-              for _ in range(10)]
+    texts += [f"{literal(1.5)}*exp({literal(0.8)}*z)" for _ in range(20)]
+    texts += [f"{literal(1.5)}*exp({literal(0.8)}*z) + {literal(1.0)}*z" for _ in range(10)]
     texts += [weyl() for _ in range(40)]
     texts += [render(random_entire_function(rng)) for _ in range(30)]
-    texts += ["".join(rng.choice(_TOKENS, size=int(rng.integers(1, 13)))) for _ in range(30)]
-    maps = [f"{_fmt(disc(0.6))},{_fmt(disc(0.8))}" for _ in range(30)]
-    maps += [f"{_fmt(cmath.exp(1j * rng.uniform(0, 2 * math.pi)))},{_fmt(disc(0.8))}"
+    texts += ["".join(rng.choice(_GRAMMAR_TOKENS, size=int(rng.integers(1, 13)))) for _ in range(30)]
+    maps = [f"{literal(0.6)},{literal(0.8)}" for _ in range(30)]
+    maps += [f"{_format_complex(cmath.exp(1j * rng.uniform(0, 2 * math.pi)))},{literal(0.8)}"
              for _ in range(10)]
-    maps += [f"0,{_fmt(disc(1.0))}" for _ in range(5)]
+    maps += [f"0,{literal(1.0)}" for _ in range(5)]
     for case in json.loads(GOLDEN.read_text()):
         options = case["options"]
         texts += [options[k] for k in ("symbol", "psi", "psi1", "psi2") if k in options]
