@@ -270,8 +270,7 @@ def classify(op: WeightedCompositionOperator,
     if phi.is_constant_map:
         # the gauge sup can equal the bound exactly (kernel-type weights), so
         # the quadrature-based upper side carries its certified error
-        norm_psi = fock_norm(psi, q, spec)
-        upper = symbols.safe_exp(symbols.square(abs(phi.b)) / 2.0) * (norm_psi.value + norm_psi.error_estimate)
+        upper = symbols.safe_exp(symbols.square(abs(phi.b)) / 2.0) * fock_norm(psi, q, spec).upper
         m = min(gauge_profile(psi, phi).symbolic_sup, sys.float_info.max)
         return Classification(Verdict.COMPACT, None, m, upper, 0.0, 0.0, None, decision.rules)
 

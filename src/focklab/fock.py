@@ -38,6 +38,7 @@ import numpy as np
 from . import symbols
 from .errors import BoundViolated, NumericFailure
 from .quadrature import (
+    _LOG_RANGE,
     DEFAULT_SPEC,
     GrowthEnvelope,
     PolarIntegrand,
@@ -48,8 +49,6 @@ from .quadrature import (
 from .symbols import EntireFunction, validate_fock_index
 
 
-# log of the largest integrand amplitude the quadrature takes unscaled
-_LOG_HUGE = 600.0
 # the exact route expands f^k for p = 2k only while k times the number of
 # coefficients of the expansion, the work of expanding it factor by factor,
 # stays within this cap (so p = 1000 never expands f^500)
@@ -77,6 +76,16 @@ class NormValue:
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("norm value must be nonnegative")
+
+    @property
+    def lower(self) -> float:
+        """The certified lower side, value - error_estimate but at least 0."""
+        return max(self.value - self.error_estimate, 0.0)
+
+    @property
+    def upper(self) -> float:
+        """The certified upper side, value + error_estimate."""
+        return self.value + self.error_estimate
 
 
 def cusp_points(f: EntireFunction, power: float, radius: float) -> tuple[complex, ...]:
@@ -289,10 +298,11 @@ def fock_norm(f: EntireFunction, p: float,
     amp, _, _ = symbols.envelope_majorant(f)
     if not math.isfinite(amp):
         raise NumericFailure("the symbol's coefficient sum exceeds the float range")
-    # the norm is homogeneous: an amplitude whose p-th power would overflow
-    # or underflow is divided out by 2^exponent >= amp (at most 2^-1023, the
-    # smallest power whose reciprocal is a float) and multiplied back at the end
-    exponent = max(math.ceil(math.log2(amp)), -1023) if abs(p * math.log(amp)) > _LOG_HUGE else 0
+    # the norm is homogeneous: an amplitude whose p-th power lies beyond
+    # e^{+-_LOG_RANGE}, the range the quadrature takes unscaled, is divided
+    # out by 2^exponent >= amp (at most 2^-1023, the smallest power whose
+    # reciprocal is a float) and multiplied back at the end
+    exponent = max(math.ceil(math.log2(amp)), -1023) if abs(p * math.log(amp)) > _LOG_RANGE else 0
     if exponent:
         f = symbols.scale(f, math.ldexp(1.0, -exponent))
     res, log_scale = _scaled_norm_power(f, p, spec)
@@ -305,7 +315,7 @@ def fock_norm(f: EntireFunction, p: float,
         # larger side; to first order it is I^{1/p} dI / (p I)
         error = -value * math.expm1(math.log1p(-res.error_estimate / res.value) / p)
     else:
-        error = (res.value + res.error_estimate) ** (1.0 / p)
+        error = res.upper ** (1.0 / p)
     try:
         if log_scale:  # the quadrature integrated |f|^p / exp(log_scale)
             scale = math.exp(log_scale / p)
@@ -426,8 +436,12 @@ def gauge_peak(psi: EntireFunction, phi: symbols.AffineMap) -> tuple[complex, fl
     reach = (psi.max_rate + abs(a * b)) / alpha + math.sqrt(psi.degree / alpha)
     radius = max(min(2.0 / max(alpha, 5e-4), 60.0), reach)
     stationary = [(t.rate + b.conjugate() * a).conjugate() / (2.0 * alpha) for t in psi.terms]
-    zs = np.concatenate((stationary, polar_grid(radius, _GRID_RADII, _GRID_ANGLES,
-                                                include_origin=True)))
+    # a reach past the float range puts nan on the grid; the log peak is then
+    # past it too and reads +inf, or the ascent fails with its own error, so
+    # numpy's warning would only repeat that
+    with np.errstate(invalid="ignore"):
+        grid = polar_grid(radius, _GRID_RADII, _GRID_ANGLES, include_origin=True)
+    zs = np.concatenate((stationary, grid))
     values = log_gauge_grid(psi, phi, zs)
     best = np.argsort(values)[-_POLISHED:]
     return _newton_ascent(psi, phi, zs[best], values[best])

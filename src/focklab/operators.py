@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from . import symbols
-from .config import parallel_map
 from .errors import NumericFailure, TailLoss, ZeroSymbol
 from .fock import NormValue, exp_matrix, fock_norm, gauge_peak, kernel, norm_power
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, polar_grid
@@ -93,11 +92,8 @@ def _normalized_coefficients(terms: list[tuple[complex, np.ndarray]], order: int
     for rate, raw in terms:
         m = np.arange(raw.shape[0])
         kernel = exp_matrix(rate, extended, raw.shape[0])
-        # sqrt(k!) overflows past k ~ 300; matrix_sigma_max reports the
-        # non-finite entries, so numpy's warnings would only repeat that
-        with np.errstate(over="ignore", invalid="ignore"):
-            root_factorials = np.exp(0.5 * np.array([math.lgamma(k + 1) for k in m]))
-            alpha += kernel @ (raw * root_factorials[:, None])
+        root_factorials = np.exp(0.5 * np.array([math.lgamma(k + 1) for k in m]))
+        alpha += kernel @ (raw * root_factorials[:, None])
         # the ratio of consecutive terms at the window's edge, for the
         # highest power with a nonzero coefficient in each function
         nonzero = raw != 0
@@ -149,14 +145,17 @@ def f2_matrix(op: WeightedCompositionOperator, order: int = 64,
     """
     if order < 8:
         raise ValueError("matrix order must be at least 8")
-    powers = _column_powers(op.phi, order)
-    terms = []
-    for t in op.psi.terms:
-        raw = np.zeros((order + t.degree, order), dtype=complex)
-        for i, coefficient in enumerate(t.coeffs):
-            raw[i:i + order] += coefficient * powers
-        terms.append((t.rate, raw))
-    entries, fractions = _normalized_coefficients(terms, order, order)
+    # b^j and sqrt(k!) (past k ~ 300) can overflow; matrix_sigma_max reports
+    # the non-finite entries, so numpy's warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _column_powers(op.phi, order)
+        terms = []
+        for t in op.psi.terms:
+            raw = np.zeros((order + t.degree, order), dtype=complex)
+            for i, coefficient in enumerate(t.coeffs):
+                raw[i:i + order] += coefficient * powers
+            terms.append((t.rate, raw))
+        entries, fractions = _normalized_coefficients(terms, order, order)
     tails = tuple(fractions.tolist())
     matrix = TruncatedMatrix(order, entries, tails)
     if check_tail and max(tails) > _TAIL_FRACTION:
@@ -194,32 +193,17 @@ class FamilySpec:
 DEFAULT_FAMILY = FamilySpec()
 
 
-def _lower_ratio(image: NormValue, norm: NormValue) -> float:
-    """The lower side of ||image||_q / ||f||_p under both error estimates."""
-    return max(image.value - image.error_estimate, 0.0) / (norm.value + norm.error_estimate)
-
-
-_UNIT = NormValue(1.0, 0.0)
-
-
 def _family_sup(image_norm, p: float, family: FamilySpec,
                 spec: QuadratureSpec,
                 extra_centers: Sequence[complex] = ()) -> float:
-    """max over the family of the lower side of ||image(f)||_q / ||f||_p;
-    kernels have unit p-norm."""
+    """max over the family of the lower side of ||image(f)||_q / ||f||_p,
+    under both error estimates; kernels have unit p-norm."""
     centers = list(polar_grid(family.kernel_radius, family.kernel_radii, family.kernel_angles,
                               include_origin=True))
     centers += list(extra_centers)
-
-    def kernel_ratio(w: complex) -> float:
-        return _lower_ratio(image_norm(kernel(w)), _UNIT)
-
-    def monomial_ratio(n: int) -> float:
-        f = symbols.monomial(n)
-        return _lower_ratio(image_norm(f), fock_norm(f, p, spec))
-
-    ratios = parallel_map(kernel_ratio, [complex(w) for w in centers])
-    ratios += parallel_map(monomial_ratio, list(range(family.monomial_degree + 1)))
+    ratios = [image_norm(kernel(w)).lower for w in centers]
+    ratios += [image_norm(f).lower / fock_norm(f, p, spec).upper
+               for f in map(symbols.monomial, range(family.monomial_degree + 1))]
     return max(ratios)
 
 

@@ -178,8 +178,7 @@ def _rank_one_lower(op: WeightedCompositionOperator, spec: QuadratureSpec) -> fl
 
     The product is taken in logs, since e^{|b|^2/2} alone can overflow;
     past the float range float_info.max stays a lower bound."""
-    nv = fock_norm(op.psi, op.q, spec)
-    lower = nv.value - nv.error_estimate
+    lower = fock_norm(op.psi, op.q, spec).lower
     if lower <= 0.0:
         return 0.0
     log_value = symbols.square(abs(op.phi.b)) / 2.0 + math.log(lower)

@@ -143,7 +143,12 @@ def _canonical(terms: Sequence[PolyExpTerm]) -> tuple[PolyExpTerm, ...]:
     merged: list[tuple[complex, list[complex], list[float], int]] = []
     for rate, coeffs in items:
         moduli = [abs(c) for c in coeffs]
-        if merged and abs(rate - merged[-1][0]) <= TOL_SYM * max(1.0, abs(rate), abs(merged[-1][0])):
+        try:
+            same = merged and (abs(rate - merged[-1][0])
+                               <= TOL_SYM * max(1.0, abs(rate), abs(merged[-1][0])))
+        except OverflowError:  # the rates lie farther apart than the float range
+            same = False
+        if same:
             first, acc, acc_moduli, count = merged[-1]
             merged[-1] = (first, _poly_add(acc, coeffs), _poly_add(acc_moduli, moduli), count + 1)
         else:

@@ -188,8 +188,7 @@ def distance_lower_bound(phi: AffineMap, other: AffineMap, p: float, q: float,
             symbols.compose_affine(kernel(w), phi),
             symbols.compose_affine(kernel(w), other),
         )
-        norm = fock_norm(image, q, spec)
-        best = max(best, norm.value - norm.error_estimate)
+        best = max(best, fock_norm(image, q, spec).lower)
     return best
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from focklab.config import RunConfig
 from focklab.errors import FocklabError
 from focklab.fock import magnitude_power_integrand
 from focklab.parsing import parse_symbol
-from focklab.quadrature import QuadratureSpec, gaussian_integral
+from focklab.quadrature import _LOG_RANGE, QuadratureSpec, gaussian_integral
 from focklab.report import Report, ereal, run
 
 
@@ -125,7 +126,8 @@ def test_cli_exit_codes(capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert abs(results["value"] - 0.18269331705147168) <= results["error_estimate"] + 8 * 2.0**-52
     # a norm, or a coefficient sum, beyond the float range exits 3 with one line
-    for symbol in ("exp(709.7)*exp(z)", "exp(709.5)+exp(709.5)*z"):
+    for symbol in ("exp(709.7)*exp(z)", "exp(709.5)+exp(709.5)*z",
+                   "exp(1e308*z) + exp(((0-0.5)*1e308+1.5e308i)*z)"):
         assert main(["norm", "--symbol", symbol, "--p", "2"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -139,19 +141,41 @@ def test_cli_exit_codes(capsys):
     assert rows == [[2.0, ereal(math.inf)], [4.0, ereal(math.inf)]]
 
 
+def _run_cli_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """The CLI as a process, so that any numpy warning reaches stderr as for a user."""
+    src = str(Path(focklab.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", "import sys; from focklab.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+
+
 def test_cli_matrix_overflow_prints_one_line():
     # sqrt(k!) overflows in the matrix build (opnorm reaches it after its
-    # empirical norm, whose p = 2 norms the exact route sums in closed form);
-    # run as a process so that any numpy warning would reach stderr as for a user
+    # empirical norm, whose p = 2 norms the exact route sums in closed form)
     weight = ["--phi", "0.5,0", "--p", "2", "--q", "2", "--matrix-order", "256"]
-    src = str(Path(focklab.__file__).resolve().parents[1])
     for argv in (["path", "--kind", "weight", "--psi1", "z^50", "--psi2", "1", "--steps", "1"],
                  ["opnorm", "--psi", "z^50"]):
-        done = subprocess.run([sys.executable, "-c", "import sys; from focklab.cli import main; "
-                               "sys.exit(main(sys.argv[1:]))", *argv, *weight],
-                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        done = _run_cli_process([*argv, *weight])
         assert done.returncode == 3
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    # b^j overflows in the matrix build's column powers
+    (["opnorm", "--psi", "1", "--phi", "0,1e6", "--p", "2", "--q", "2"], 3),
+    (["path", "--kind", "translate", "--b1", "0", "--b2", "1e6", "--p", "2", "--q", "2",
+      "--steps", "2"], 3),
+    # the gauge's search radius is inf, so its polar grid holds nan
+    (["classify", "--psi", "exp(-7e307i*z)", "--phi", "0.5,0", "--p", "2", "--q", "2"], 2),
+    (["profile-m", "--psi", "1", "--phi", "0.99999999,1e305", "--radii", "2"], 0),
+])
+def test_cli_overflow_prints_no_numpy_warning(argv, code):
+    done = _run_cli_process(argv)
+    assert done.returncode == code
+    if code:
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    else:
+        assert done.stderr == ""
 
 
 def test_overflowing_sum_exits_2_like_an_overflowing_product(capsys):
@@ -341,10 +365,36 @@ def _symbol_text(terms) -> str:
                       for x, re, im, d, u, v in terms)
 
 
+def _map_text(modulus: float, angle: float, b_re: float, b_im: float) -> str:
+    a = modulus * complex(math.cos(angle), math.sin(angle))
+    return f"{a.real!r}{a.imag:+.17g}i,{b_re!r}{b_im:+.17g}i"
+
+
+def _contract_results(argv: list[str]) -> dict | None:
+    """Run the command under the exit contract: a documented exit code, and
+    either one stderr line or a strict JSON report and an empty stderr; returns
+    the report's results.  A warning would reach a user's stderr, so every
+    one counts against the contract: "always" shows it in each example, where
+    Python shows it once per process, and it is recorded because the test
+    runner takes warnings off stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert not caught, [str(w.message) for w in caught]
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return None
+    assert err.getvalue() == ""
+    return strict_json(out.getvalue())["results"]
+
+
 def _engine_norm(f, p: float) -> tuple[float, float]:
     """The quadrature engine alone, inside fock_norm's amplitude scaling."""
     amp = sy.envelope_majorant(f)[0]
-    exponent = max(math.ceil(math.log2(amp)), -1023) if abs(p * math.log(amp)) > 600.0 else 0
+    exponent = max(math.ceil(math.log2(amp)), -1023) if abs(p * math.log(amp)) > _LOG_RANGE else 0
     res = gaussian_integral(magnitude_power_integrand(sy.scale(f, 2.0**-exponent), p), p)
     value = res.value ** (1.0 / p)
     return math.ldexp(value, exponent), math.ldexp(value * res.error_estimate / (p * res.value), exponent)
@@ -355,14 +405,9 @@ def _engine_norm(f, p: float) -> tuple[float, float]:
        st.sampled_from([2.0, 4.0, 6.0, 0.5, 1.5, 2.5, 1000.0]))
 def test_norm_command_exit_contract(terms, p):
     text = _symbol_text(terms)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["norm", "--symbol", text, "--p", repr(p)])
-    assert code in (0, 2, 3)
-    if code:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    results = _contract_results(["norm", "--symbol", text, "--p", repr(p)])
+    if results is None:
         return
-    results = json.loads(out.getvalue())["results"]
     f = parse_symbol(text)
     if p > 6.0 or p % 2.0 or f.is_zero:
         return
@@ -382,17 +427,10 @@ _shift = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([1e200]))
 @given(st.lists(_term, min_size=1, max_size=2), _slope, st.floats(-math.pi, math.pi),
        _shift, _shift, st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.sampled_from([0.5, 1.0, 2.0, 3.0]))
 def test_classify_command_exit_contract(terms, modulus, angle, b_re, b_im, p, q):
-    a = modulus * complex(math.cos(angle), math.sin(angle))
-    phi = f"{a.real!r}{a.imag:+.17g}i,{b_re!r}{b_im:+.17g}i"
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["classify", "--psi", _symbol_text(terms), "--phi", phi,
-                     "--p", repr(p), "--q", repr(q)])
-    assert code in (0, 2, 3)
-    if code:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    else:
-        assert strict_json(out.getvalue())["results"]["verdict"]
+    results = _contract_results(["classify", "--psi", _symbol_text(terms),
+                                 "--phi", _map_text(modulus, angle, b_re, b_im),
+                                 "--p", repr(p), "--q", repr(q)])
+    assert results is None or results["verdict"]
 
 
 _exponent = st.sampled_from([0.5, 1.0, 2.0, 3.0])
@@ -405,41 +443,16 @@ def test_opnorm_command_exit_contract(terms, modulus, angle, b_re, b_im, p, q, s
     # q < p half the time, where the bound is the plane norm of the gauge
     if small and p <= q:
         p, q = q + 1.0, p
-    a = modulus * complex(math.cos(angle), math.sin(angle))
-    phi = f"{a.real!r}{a.imag:+.17g}i,{b_re!r}{b_im:+.17g}i"
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["opnorm", "--psi", _symbol_text(terms), "--phi", phi,
-                     "--p", repr(p), "--q", repr(q), "--matrix-order", "16"])
-    assert code in (0, 2, 3)
-    if code:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    else:
-        assert strict_json(out.getvalue())["results"]["theory_upper"]
+    results = _contract_results(["opnorm", "--psi", _symbol_text(terms),
+                                 "--phi", _map_text(modulus, angle, b_re, b_im),
+                                 "--p", repr(p), "--q", repr(q), "--matrix-order", "16"])
+    assert results is None or results["theory_upper"]
 
 
 # slopes just below 1 put the inputs at overflow scale (the gauge's log peak
 # |rate|^2 / (2 (1 - |a|^2)) passes the float range); component and diff decide
 # symbolically, so these check that their decisions keep the contract there
 _slope_near_one = st.one_of(_slope, st.sampled_from([0.999, 0.999999]), st.floats(0.99, 1.0))
-
-
-def _map_text(modulus: float, angle: float, b_re: float, b_im: float) -> str:
-    a = modulus * complex(math.cos(angle), math.sin(angle))
-    return f"{a.real!r}{a.imag:+.17g}i,{b_re!r}{b_im:+.17g}i"
-
-
-def _contract_results(argv: list[str]) -> dict | None:
-    """Run the command under the exit contract: a documented exit code, and
-    either one stderr line or a strict JSON report, whose results it returns."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 2, 3)
-    if code:
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        return None
-    return strict_json(out.getvalue())["results"]
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -464,6 +477,54 @@ def test_diff_command_exit_contract(terms1, modulus1, angle1, terms2, modulus2, 
                                  "--phi2", _map_text(modulus2, angle2, 0.0, b),
                                  "--p", repr(p), "--q", repr(q)])
     assert results is None or isinstance(results["compact"], bool)
+
+
+# the bracket needs 1 < p <= q
+_ordered_exponents = st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.0]), min_size=2,
+                              max_size=2).map(sorted)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(_term, min_size=1, max_size=2), _slope_near_one, st.floats(-math.pi, math.pi),
+       _shift, _shift, _ordered_exponents)
+def test_essnorm_command_exit_contract(terms, modulus, angle, b_re, b_im, exponents):
+    p, q = exponents
+    results = _contract_results(["essnorm", "--psi", _symbol_text(terms),
+                                 "--phi", _map_text(modulus, angle, b_re, b_im),
+                                 "--p", repr(p), "--q", repr(q)])
+    assert results is None or results["ess_lower"]["value"] <= results["ess_upper"]["value"]
+
+
+# a shift of 1e6 or 1e200 overflows the matrix build; q = 4 leaves the
+# matrix route for the family sweep, whose even-q norms are closed-form sums
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(["dilate", "translate", "weight"]), st.lists(_term, min_size=1, max_size=2),
+       st.lists(_term, min_size=1, max_size=2), _slope, st.floats(-math.pi, math.pi),
+       st.floats(-3.0, 3.0), st.one_of(st.floats(-3.0, 3.0), st.sampled_from([1e6, 1e200])),
+       st.integers(1, 3), st.sampled_from([2.0, 4.0]))
+def test_path_command_exit_contract(kind, terms1, terms2, modulus, angle, b1, b2, steps, q):
+    argv = ["path", "--kind", kind, "--steps", str(steps), "--p", "2", "--q", repr(q),
+            "--matrix-order", "16"]
+    if kind == "translate":
+        argv += ["--b1", repr(b1), "--b2", repr(b2)]
+    else:
+        argv += ["--phi", _map_text(modulus, angle, b1, b2)]
+    if kind == "weight":
+        argv += ["--psi1", _symbol_text(terms1), "--psi2", _symbol_text(terms2)]
+    results = _contract_results(argv)
+    assert results is None or len(results["rows"]) == steps
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(_term, min_size=1, max_size=2), _slope_near_one, st.floats(-math.pi, math.pi),
+       _shift, _shift, st.sampled_from([None, "0,2", "1e300"]))
+def test_profile_m_command_exit_contract(terms, modulus, angle, b_re, b_im, radii):
+    argv = ["profile-m", "--psi", _symbol_text(terms),
+            "--phi", _map_text(modulus, angle, b_re, b_im)]
+    if radii is not None:
+        argv += ["--radii", radii]
+    results = _contract_results(argv)
+    assert results is None or results["symbolic_sup"]
 
 
 def test_cli_reads_values_that_start_with_a_dash(capsys):

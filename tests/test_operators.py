@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from focklab.operators import (
     WeightedCompositionOperator,
     berezin,
     composition_operator,
+    empirical_distance,
     empirical_norm,
     f2_matrix,
     matrix_sigma_max,
@@ -141,9 +143,18 @@ def test_empirical_norm_examples():
     assert math.isclose(got, math.exp(abs(b) ** 2 / 2.0), rel_tol=1e-8)
 
 
-def test_mismatched_exponent_distance_rejected():
-    from focklab.operators import empirical_distance
+def test_family_sweep_starts_no_thread(monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"{thread.name} was started")
 
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    op = composition_operator(AffineMap(0.5, 0.25), 2.0, 2.0)
+    assert empirical_norm(op, SMALL_FAMILY, CHECK_SPEC) >= 1.0
+    other = composition_operator(AffineMap(0.5, 0.0), 2.0, 2.0)
+    assert empirical_distance(op, other, SMALL_FAMILY, CHECK_SPEC) > 0.0
+
+
+def test_mismatched_exponent_distance_rejected():
     first = composition_operator(IDENTITY, 2.0, 2.0)
     second = composition_operator(IDENTITY, 2.0, 3.0)
     with pytest.raises(ValueError):

@@ -56,6 +56,9 @@ def test_sums_past_the_float_range_are_not_rounding_noise():
         sy.add(sy.monomial(1, 1e308), sy.monomial(1, 1.5e308j))
     with pytest.raises(Inadmissible, match="modulus inside the float range"):
         AffineMap(0.5, 1e308 + 1.5e308j)
+    # two rates whose difference has a modulus past the float range are distinct
+    f = sy.add(sy.exp_term(1e308), sy.exp_term(-0.5e308 + 1.5e308j))
+    assert [t.rate for t in f.terms] == [-0.5e308 + 1.5e308j, 1e308]
 
 
 def test_mul_merges_rates():
