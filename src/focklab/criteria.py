@@ -42,7 +42,7 @@ import numpy as np
 
 from . import symbols
 from .errors import HypothesisViolated, Inadmissible
-from .fock import fock_norm, gauge_at, gauge_peak, log_gauge_grid
+from .fock import NormValue, fock_norm, gauge_at, gauge_peak, log_gauge_grid
 from .operators import FamilySpec, WeightedCompositionOperator, empirical_norm
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .symbols import AffineMap, EntireFunction, PolyExpTerm
@@ -232,6 +232,8 @@ class Classification:
     ess_upper: float
     ls_norm: float | None
     rules: tuple[str, ...]
+    # a = 0 only: ||psi||_q, the operator's norm over e^{|b|^2/2}
+    weight_norm: NormValue | None = None
 
     def __post_init__(self):
         if self.norm_lower > self.norm_upper * (1 + 1e-12):
@@ -270,9 +272,11 @@ def classify(op: WeightedCompositionOperator,
     if phi.is_constant_map:
         # the gauge sup can equal the bound exactly (kernel-type weights), so
         # the quadrature-based upper side carries its certified error
-        upper = symbols.safe_exp(symbols.square(abs(phi.b)) / 2.0) * fock_norm(psi, q, spec).upper
+        weight_norm = fock_norm(psi, q, spec)
+        upper = symbols.safe_exp(symbols.square(abs(phi.b)) / 2.0) * weight_norm.upper
         m = min(gauge_profile(psi, phi).symbolic_sup, sys.float_info.max)
-        return Classification(Verdict.COMPACT, None, m, upper, 0.0, 0.0, None, decision.rules)
+        return Classification(Verdict.COMPACT, None, m, upper, 0.0, 0.0, None, decision.rules,
+                              weight_norm)
 
     if q < p:
         ls = gauge_plane_norm(psi, phi, p, q, spec)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import symbols
-from .errors import NumericFailure, TailLoss, ZeroSymbol
+from .errors import Inadmissible, NumericFailure, TailLoss, ZeroSymbol
 from .fock import NormValue, exp_matrix, fock_norm, gauge_peak, kernel, norm_power
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, polar_grid
 from .symbols import AffineMap, EntireFunction, validate_fock_index
@@ -45,7 +45,10 @@ class WeightedCompositionOperator:
         object.__setattr__(self, "q", validate_fock_index(self.q))
 
     def apply(self, f: EntireFunction) -> EntireFunction:
-        return symbols.mul(self.psi, symbols.compose_affine(f, self.phi))
+        try:
+            return symbols.mul(self.psi, symbols.compose_affine(f, self.phi))
+        except Inadmissible:  # two admissible factors whose product overflows
+            raise NumericFailure("psi (f o phi) has a coefficient beyond the float range") from None
 
 
 def composition_operator(phi: AffineMap, p: float, q: float) -> WeightedCompositionOperator:
@@ -250,6 +253,10 @@ def empirical_distance(first: WeightedCompositionOperator,
     spec = spec or DEFAULT_SPEC
 
     def image_norm(f: EntireFunction) -> NormValue:
-        return fock_norm(symbols.sub(first.apply(f), second.apply(f)), first.q, spec)
+        try:
+            difference = symbols.sub(first.apply(f), second.apply(f))
+        except Inadmissible:  # two admissible images whose difference overflows
+            raise NumericFailure("W1 f - W2 f has a coefficient beyond the float range") from None
+        return fock_norm(difference, first.q, spec)
 
     return _family_sup(image_norm, first.p, family, spec)

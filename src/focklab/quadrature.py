@@ -222,7 +222,9 @@ class _RadialIntegrator:
         # the largest log value seen while watch_peak is set
         self.watch_peak = False
         self.peak = -math.inf
-        self._arcs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # per angular node count: the phases e^{i theta} and, with cusps,
+        # the graded arcs' fine and coarse weights
+        self._rules: dict[int, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
 
     def panel(self, r0: float, r1: float) -> tuple[float, float]:
         """(integral over [r0, r1], angular error estimate), both including dtheta."""
@@ -231,13 +233,14 @@ class _RadialIntegrator:
         r = r0 + half * (_NODES + 1.0)
         w = half * _WEIGHTS
         n = _angular_count(self.integrand, r1, self.mult)
-        if self.cusp_angles.size:
-            if n not in self._arcs:
-                self._arcs[n] = _graded_arcs(self.cusp_angles, n)
-            theta, fine_w, coarse_w = self._arcs[n]
-        else:
-            theta = 2.0 * np.pi * np.arange(n) / n
-        zs = r[:, None] * np.exp(1j * theta)[None, :]
+        if n not in self._rules:
+            if self.cusp_angles.size:
+                theta, fine_w, coarse_w = _graded_arcs(self.cusp_angles, n)
+            else:
+                theta, fine_w, coarse_w = 2.0 * np.pi * np.arange(n) / n, None, None
+            self._rules[n] = np.exp(1j * theta), fine_w, coarse_w
+        phase, fine_w, coarse_w = self._rules[n]
+        zs = r[:, None] * phase[None, :]
         logs = self.integrand.log_magnitude(zs) - (self.s * r * r / 2.0)[:, None]
         if self.watch_peak:
             self.peak = max(self.peak, float(np.max(logs)))

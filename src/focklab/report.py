@@ -23,12 +23,13 @@ from .criteria import (
     RULE_EMPIRICAL_LOWER,
     RULE_ESS_BRACKET,
     RULE_ESS_UNIT,
+    Verdict,
     annulus_sups,
     classify,
     essential_norm_bracket,
     gauge_profile,
 )
-from .fock import fock_norm
+from .fock import NormValue, fock_norm
 from .operators import (
     FamilySpec,
     WeightedCompositionOperator,
@@ -37,7 +38,6 @@ from .operators import (
     matrix_sigma_max,
 )
 from .parsing import parse_affine, parse_complex, parse_radii, parse_symbol, render
-from .quadrature import QuadratureSpec
 from .symbols import AffineMap
 from .topology import (
     RULE_COMPONENTS,
@@ -172,16 +172,16 @@ def _handle_classify(options, config: RunConfig) -> Report:
     )
 
 
-def _rank_one_lower(op: WeightedCompositionOperator, spec: QuadratureSpec) -> float:
+def _rank_one_lower(b: complex, weight_norm: NormValue) -> float:
     """e^{|b|^2/2} (||psi||_q - estimate) for a = 0: the operator f -> psi f(b)
     has rank one, and the kernel at b attains its norm e^{|b|^2/2} ||psi||_q.
 
     The product is taken in logs, since e^{|b|^2/2} alone can overflow;
     past the float range float_info.max stays a lower bound."""
-    lower = fock_norm(op.psi, op.q, spec).lower
+    lower = weight_norm.lower
     if lower <= 0.0:
         return 0.0
-    log_value = symbols.square(abs(op.phi.b)) / 2.0 + math.log(lower)
+    log_value = symbols.square(abs(b)) / 2.0 + math.log(lower)
     return min(symbols.safe_exp(log_value), sys.float_info.max)
 
 
@@ -190,9 +190,10 @@ def _handle_opnorm(options, config: RunConfig) -> Report:
     family = FamilySpec(kernel_radius=config.grid_radius)
     c = classify(op, config.quadrature, family)
     if op.phi.is_constant_map:
-        empirical = _rank_one_lower(op, config.quadrature)
-    elif RULE_EMPIRICAL_LOWER in c.rules:
-        # for q < p classify's lower side already is this family's empirical norm
+        empirical = _rank_one_lower(op.phi.b, c.weight_norm)
+    elif c.verdict is Verdict.UNBOUNDED or RULE_EMPIRICAL_LOWER in c.rules:
+        # classify's lower side already is the answer: inf for an unbounded
+        # operator, and for compact q < p this family's empirical norm
         empirical = c.norm_lower
     else:
         empirical = empirical_norm(op, family, config.quadrature)

@@ -251,7 +251,8 @@ def mul(f: EntireFunction, g: EntireFunction) -> EntireFunction:
 
 
 def differentiate(f: EntireFunction) -> EntireFunction:
-    # P exp(cz) -> (P' + cP) exp(cz)
+    # P exp(cz) -> (P' + cP) exp(cz); f is admissible, so a coefficient past
+    # the float range is the arithmetic's overflow
     terms = []
     for t in f.terms:
         n = len(t.coeffs)
@@ -261,6 +262,8 @@ def differentiate(f: EntireFunction) -> EntireFunction:
             if k + 1 < n:
                 val += (k + 1) * t.coeffs[k + 1]
             coeffs.append(val)
+        if not _finite_moduli(coeffs):
+            raise NumericFailure("f' has a coefficient beyond the float range")
         terms.append(PolyExpTerm(tuple(coeffs), t.rate))
     return EntireFunction(tuple(terms))
 
@@ -294,6 +297,12 @@ def log_abs_grid(f: EntireFunction, zs: np.ndarray) -> np.ndarray:
     zs = np.asarray(zs, dtype=complex)
     if not f.terms:
         return np.full(zs.shape, -np.inf)
+    if len(f.terms) == 1:  # log|P(z)| + Re(cz): no exponential, an overflow reads +-inf
+        (t,) = f.terms
+        poly = abs(t.coeffs[0]) if t.degree == 0 else np.abs(
+            np.polynomial.polynomial.polyval(zs, np.asarray(t.coeffs)))
+        with np.errstate(divide="ignore", over="ignore"):
+            return t.rate.real * zs.real - t.rate.imag * zs.imag + np.log(poly)
     m, acc = _scaled_values(f, zs)
     with np.errstate(divide="ignore"):
         return m + np.log(np.abs(acc))
@@ -462,7 +471,10 @@ def proportionality_ratio(f: EntireFunction, g: EntireFunction, tol: float = 1e-
     lead_f = f.terms[0].coeffs[-1]
     lead_g = g.terms[0].coeffs[-1]
     lam = lead_g / lead_f
-    return lam if isclose(scale(f, lam), g, tol) else None
+    try:
+        return lam if isclose(scale(f, lam), g, tol) else None
+    except Inadmissible:  # lam * f, or its difference from g, leaves the float range
+        return None
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 import focklab
 
 from focklab import cli
+from focklab import criteria as criteria_module
 from focklab import report as report_module
 from focklab import symbols as sy
 from focklab.cli import main
 from focklab.config import RunConfig
 from focklab.errors import FocklabError
-from focklab.fock import magnitude_power_integrand
+from focklab.fock import fock_norm, magnitude_power_integrand
 from focklab.parsing import parse_symbol
 from focklab.quadrature import _LOG_RANGE, QuadratureSpec, gaussian_integral
 from focklab.report import Report, ereal, run
@@ -131,6 +132,27 @@ def test_cli_exit_codes(capsys):
         assert main(["norm", "--symbol", symbol, "--p", "2"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+    # so does an admissible input whose arithmetic overflows: psi'' in the
+    # gauge ascent; two e^700 weights whose ratio times psi1 leaves the float
+    # range (not proportional) and whose path's norms do; two images whose
+    # difference does; psi times a kernel's image under phi
+    e700 = "exp(700.0)*(1.0+(6.738756262164248e-05)*i)*z^3*exp((6.3957754622985376e-260+(-0.1653777621229573)*i)*z)"
+    for argv in (
+        ["classify", "--psi", "exp(-7e307i*z)", "--phi", "0.5,0", "--p", "2", "--q", "2"],
+        ["path", "--kind", "weight", "--steps", "2", "--p", "2", "--q", "4.0", "--matrix-order", "16",
+         "--phi", "-0.17515225989043656+0.51268774461549227i,9.251676341807724e-79+0.69999999999999996i",
+         "--psi1", "exp(-1.192092896e-07)*(-0.7466827607073809+(-0.8053693643352777)*i)*z^1"
+         "*exp((-0.8870910931043157+(0.4)*i)*z) + " + e700,
+         "--psi2", "exp(33.51127192184632)*(1.945011733838684e-247+(-0.8227532838230989)*i)*z^3"
+         "*exp((-0.8333991184059268+(-5.3673334977640825e-48)*i)*z) + exp(68.37341628401855)"
+         "*(-2.2013368632262853e-60+(-0.99999)*i)*z^1*exp((-0.7382439592173267+(0.927138300035792)*i)*z)"],
+        ["path", "--kind", "weight", "--psi1", "1e308", "--psi2", "-1e308", "--phi", "0.5,0",
+         "--p", "2", "--q", "4", "--steps", "1"],
+        ["opnorm", "--psi", "1e300", "--phi", "0.5,25", "--p", "2", "--q", "2"],
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     # exp(conj(w) b) overflows while the operator maps a kernel: exit 3, not 2
     assert main(["opnorm", "--psi", "1", "--phi", "0.5,1e200", "--p", "2", "--q", "2"]) == 3
     err = capsys.readouterr().err
@@ -165,8 +187,9 @@ def test_cli_matrix_overflow_prints_one_line():
     (["opnorm", "--psi", "1", "--phi", "0,1e6", "--p", "2", "--q", "2"], 3),
     (["path", "--kind", "translate", "--b1", "0", "--b2", "1e6", "--p", "2", "--q", "2",
       "--steps", "2"], 3),
-    # the gauge's search radius is inf, so its polar grid holds nan
-    (["classify", "--psi", "exp(-7e307i*z)", "--phi", "0.5,0", "--p", "2", "--q", "2"], 2),
+    # the gauge's search radius is inf, so its polar grid holds nan; psi''
+    # overflows in the ascent
+    (["classify", "--psi", "exp(-7e307i*z)", "--phi", "0.5,0", "--p", "2", "--q", "2"], 3),
     (["profile-m", "--psi", "1", "--phi", "0.99999999,1e305", "--radii", "2"], 0),
 ])
 def test_cli_overflow_prints_no_numpy_warning(argv, code):
@@ -203,6 +226,35 @@ def test_opnorm_on_a_constant_map_reads_the_rank_one_norm(monkeypatch):
     start = time.perf_counter()
     run("opnorm", dict(options, psi="(1+2i)*z^2*exp((0.5-1i)*z)+3"), RunConfig())
     assert time.perf_counter() - start < 1.0
+
+
+def test_opnorm_on_a_constant_map_computes_the_weight_norm_once(monkeypatch):
+    # classify's upper side and the rank-one lower side share one ||psi||_q
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fock_norm(*args, **kwargs)
+
+    monkeypatch.setattr(criteria_module, "fock_norm", counted)
+    monkeypatch.setattr(report_module, "fock_norm", counted)
+    options = {"psi": "(1+2i)*z^2*exp((0.5-1i)*z)+3", "phi": "0,0.5", "p": 3.0, "q": 1.5}
+    results = run("opnorm", options, RunConfig()).results
+    assert len(calls) == 1
+    # the report as it read when each side computed its own norm
+    assert results == {"empirical_lower": ereal(15.034808802986689),
+                       "theory_lower": ereal(12.527236547150133),
+                       "theory_upper": ereal(15.034808807080266)}
+
+
+def test_opnorm_on_an_unbounded_operator_runs_no_family(monkeypatch):
+    # classify's lower side is inf already; the test family would only
+    # reach a finite number below it
+    monkeypatch.setattr(report_module, "empirical_norm", None)
+    for options in ({"psi": "z", "phi": "1,0", "p": 2.0, "q": 2.0},
+                    {"psi": "1", "phi": "1i,0.5", "p": 3.0, "q": 1.0}):
+        results = run("opnorm", options, RunConfig()).results
+        assert results["theory_lower"] == results["empirical_lower"] == ereal(math.inf)
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from focklab import quadrature
+from focklab import quadrature, symbols as sy
 from focklab.errors import ToleranceNotMet
 from focklab.criteria import gauge_plane_norm
 from focklab.fock import fock_norm, kernel, magnitude_power_integrand
@@ -19,6 +19,7 @@ from focklab.quadrature import (
     gaussian_integral,
 )
 from focklab.sampling import random_complex, random_entire_function
+from focklab.symbols import AffineMap
 
 ULP = 2.0**-52
 
@@ -139,6 +140,29 @@ def test_cusp_error_estimates_bound_the_error(n, p):
             assert abs(norm.value - exact) <= norm.error_estimate + 8 * ULP * exact, (a, spec)
 
 
+def test_translations_and_rotations_are_isometries_at_fractional_p():
+    # T_u f(z) = f(z - u) e^{conj(u) z - |u|^2/2} and f(e^{i theta} z) move
+    # |f(z)| e^{-|z|^2/2} by a motion of the plane, so they keep every
+    # F^p norm: an oracle with no closed form, over symbols of one to three
+    # terms (both paths of the log kernel)
+    rng = np.random.default_rng(314)
+    terms = set()
+    for k in range(20):
+        f = random_entire_function(rng, max_terms=3, max_degree=2, rate_radius=1.0)
+        p = (0.5, 1.0, 1.5, 2.5, 3.0)[k % 5]
+        u, theta = random_complex(rng, 1.5), rng.uniform(0.0, 2.0 * math.pi)
+        translated = sy.mul(sy.compose_affine(f, AffineMap(1.0, -u)),
+                            sy.exp_term(u.conjugate(), math.exp(-abs(u) ** 2 / 2.0)))
+        rotated = sy.compose_affine(f, AffineMap(complex(math.cos(theta), math.sin(theta))))
+        norm = fock_norm(f, p, CHECK_SPEC)
+        for g in (translated, rotated):
+            moved = fock_norm(g, p, CHECK_SPEC)
+            slack = norm.error_estimate + moved.error_estimate + 8 * ULP * norm.value
+            assert abs(moved.value - norm.value) <= slack, (k, p)
+        terms.add(len(f.terms))
+    assert terms == {1, 2, 3}
+
+
 def test_two_zero_polynomial_meets_a_tighter_spec():
     f = parse_symbol("(z-0.5)*(z+1i)*exp(0.25*z)")
     tight = QuadratureSpec(abs_tol=DEFAULT_SPEC.abs_tol / 100, rel_tol=DEFAULT_SPEC.rel_tol / 100)
@@ -148,28 +172,36 @@ def test_two_zero_polynomial_meets_a_tighter_spec():
         assert abs(loose.value - fine.value) <= loose.error_estimate + fine.error_estimate
 
 
-# (symbol, p, value, error_estimate) of integrands without a graded cusp,
-# frozen before the angular rule learned to grade: no zero (exp), a zero at
-# the origin (z^2), an even order p m (p = 1, 3 on a double zero) and an
-# order p m = 7.5 beyond the graded range
+# (symbol, p, value, error_estimate, before) of integrands without a graded
+# cusp, frozen before the angular rule learned to grade: no zero (exp), a
+# zero at the origin (z^2), an even order p m (p = 1, 3 on a double zero)
+# and an order p m = 7.5 beyond the graded range.  The one-term log kernel
+# (log|P| + Re(cz), no complex exponential) moved four of them by a few ulp;
+# ``before`` holds the pins it replaced, whose estimates cover the move
 _UNGRADED = [
     ("fock", "0.5352614285189903*exp((0.8-0.6i)*z)*(z-(0.8+0.6i))^3", 2.5,
-     1.9419900387110267, 1.0180011660627145e-12),
-    ("fock", "z^2", 0.5, 3.1415926535897927, 3.0531673004356048e-12),
-    ("fock", "(1.5-0.5i)*exp((0.3+0.7i)*z)", 0.5, 2.1130773949089465, 2.4860178026012253e-13),
-    ("integral", "(z-0.5)^2*exp((0.2-0.1i)*z)", 1.0, 2.1531617531013003, 4.064853756133256e-16),
-    ("integral", "(z-0.5)^2*exp((0.2-0.1i)*z)", 3.0, 2.844296744373235, 4.2982111911551384e-14),
+     1.941990038711027, 1.0181094836705874e-12, (1.9419900387110267, 1.0180011660627145e-12)),
+    ("fock", "z^2", 0.5, 3.1415926535897927, 3.0531673004356048e-12,
+     (3.1415926535897927, 3.0531673004356048e-12)),
+    ("fock", "(1.5-0.5i)*exp((0.3+0.7i)*z)", 0.5, 2.1130773949089465, 2.487773211834002e-13,
+     (2.1130773949089465, 2.4860178026012253e-13)),
+    ("integral", "(z-0.5)^2*exp((0.2-0.1i)*z)", 1.0, 2.1531617531013003, 5.944159081337559e-16,
+     (2.1531617531013003, 4.064853756133256e-16)),
+    ("integral", "(z-0.5)^2*exp((0.2-0.1i)*z)", 3.0, 2.844296744373235, 4.262642746591104e-14,
+     (2.844296744373235, 4.2982111911551384e-14)),
 ]
 
 
-@pytest.mark.parametrize("kind, text, p, value, estimate", _UNGRADED)
-def test_ungraded_integrands_keep_their_arithmetic(kind, text, p, value, estimate):
+@pytest.mark.parametrize("kind, text, p, value, estimate, before", _UNGRADED)
+def test_ungraded_integrands_keep_their_arithmetic(kind, text, p, value, estimate, before):
     f = parse_symbol(text)
     if kind == "fock":
         got = fock_norm(f, p)
     else:
         got = gaussian_integral(magnitude_power_integrand(f, p), p)
     assert (got.value, got.error_estimate) == (value, estimate)
+    before_value, before_estimate = before
+    assert abs(value - before_value) <= before_estimate
 
 
 def test_ungraded_plane_norm_keeps_its_arithmetic():

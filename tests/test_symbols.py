@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from focklab import symbols as sy
 from focklab.errors import Inadmissible
-from focklab.fock import fock_norm, kernel, magnitude_power_integrand
+from focklab.fock import fock_norm, kernel, log_gauge_grid, magnitude_power_integrand
 from focklab.parsing import parse_symbol
 from focklab.quadrature import gaussian_integral
 from focklab.sampling import random_complex, random_entire_function
@@ -179,6 +179,48 @@ def test_log_abs_matches_evaluate(rng):
         if value > 0:
             log_abs = float(sy.log_abs_grid(f, np.array([z]))[0])
             assert math.isclose(log_abs, math.log(value), rel_tol=1e-9, abs_tol=1e-9)
+
+
+one_term_st = st.tuples(
+    st.lists(st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+             min_size=1, max_size=4),
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(one_term_st, st.lists(st.complex_numbers(max_magnitude=40.0, allow_nan=False,
+                                                allow_infinity=False), min_size=1, max_size=8))
+def test_one_term_log_kernel_matches_the_scaled_values(raw, points):
+    # log|P| + Re(cz) against the general path's m + log|P e^{i Im(cz)}|
+    f = build_ef([raw])
+    if f.is_zero:
+        return
+    zs = np.array(points, dtype=complex)
+    m, acc = sy._scaled_values(f, zs)
+    with np.errstate(divide="ignore"):
+        expected = m + np.log(np.abs(acc))
+    got = sy.log_abs_grid(f, zs)
+    for g, e in zip(got, expected):
+        if e == -math.inf:
+            assert g == -math.inf
+        else:
+            assert abs(g - e) <= 8 * 2.0**-52 * max(1.0, abs(e)), (g, e)
+
+
+def test_one_term_log_kernel_at_zeros_and_overflow():
+    # an exact zero of P reads -inf, with or without a polynomial part
+    f = parse_symbol("(z-0.5)*exp((1+2i)*z)")
+    assert sy.log_abs_grid(f, np.array([0.5 + 0j]))[0] == -math.inf
+    # Re(cz) past the float range reads +inf (and -inf on the other side),
+    # as fock.log_gauge_grid promises, not nan
+    f = parse_symbol("exp(1e308*z)")
+    assert list(sy.log_abs_grid(f, np.array([10 + 0j, -10 + 0j]))) == [math.inf, -math.inf]
+    assert log_gauge_grid(f, AffineMap(0.5), np.array([10 + 0j]))[0] == math.inf
+    # a constant P reads log|c| everywhere
+    f = sy.exp_term(0.25 - 1j, 3 - 4j)
+    zs = np.array([0j, 2 + 1j, -7j])
+    assert np.array_equal(sy.log_abs_grid(f, zs), 0.25 * zs.real + zs.imag + math.log(5.0))
 
 
 def test_affine_map_validation():
