@@ -204,6 +204,41 @@ def test_ungraded_integrands_keep_their_arithmetic(kind, text, p, value, estimat
     assert abs(value - before_value) <= before_estimate
 
 
+# (symbol, p, spec, value, error_estimate, truncation_radius) of fock_norm
+# through the engine's rare branches: a graded cusp (p m = 5 at z = 0.5), the
+# restart in units of the peak (|0.6 z|^1000 e^{-500|z|^2} peaks near
+# e^{-1700}) and an angular escalation to mult 8 (the four-term image that
+# the large-to-small check of ``verify --seed 0`` integrates at q = 1)
+_C12_IMAGE = sy.EntireFunction((
+    sy.PolyExpTerm(((-0.6482800225115843-2.6627019326434094j), (0.38861156517791984+0.2334763978568548j),
+                    (-0.6639707438924685-1.7022320438106773j), (-0.03184113053551073-0.2963654734500015j)),
+                   (-0.35750531372109284-0.10311034994936388j)),
+    sy.PolyExpTerm(((-0.7721739472817153+0.5644408778140926j), (0.4312641607769531-0.3400776769965738j),
+                    (-0.5590511755628427+0.5393115642888797j), (0.17897916520755103-0.1208810456168025j),
+                    (-0.002068386924251765+0.012731219606583268j)),
+                   (-0.3236508282725341-0.24911823842977898j)),
+    sy.PolyExpTerm(((-0.12358313935555991+0.15700956233009142j), (2.4793705942820514-0.4071879095050639j),
+                    (0.388110823041228+0.035144536403447724j)),
+                   (0.42926728401151587-0.4804390792426111j)),
+    sy.PolyExpTerm(((0.06712809629375482+0.01889917474666894j), (-0.4911073210579969-0.7603640095038692j),
+                    (0.10389097843348052+0.2586650766240608j), (-0.01579161507531392-0.00591505825235163j)),
+                   (0.46312176946007455-0.6264469677230262j)),
+))
+_RARE_BRANCHES = [
+    (parse_symbol("(z-0.5)^2*exp((0.2-0.1i)*z)"), 2.5, DEFAULT_SPEC,
+     1.4851109344590885, 1.9087732382757165e-12, 8.0),
+    (parse_symbol("0.3*z"), 1000.0, DEFAULT_SPEC, 0.18269331705147165, 7.141268155795434e-16, 4.0),
+    (_C12_IMAGE, 1.0, CHECK_SPEC, 7.811961486325929, 5.191352367186881e-07, 16.0),
+]
+
+
+@pytest.mark.parametrize("f, p, spec, value, estimate, radius", _RARE_BRANCHES,
+                         ids=["graded-cusp", "peak-shift", "angular-mult-8"])
+def test_rare_engine_branches_keep_their_arithmetic(f, p, spec, value, estimate, radius):
+    got = fock_norm(f, p, spec)
+    assert (got.value, got.error_estimate, got.truncation_radius) == (value, estimate, radius)
+
+
 def test_ungraded_plane_norm_keeps_its_arithmetic():
     # a simple zero of psi at s = pq/(p - q) = 2 is smooth
     assert gauge_plane_norm(parse_symbol("z-0.5"), parse_affine("0.5,0.2"), 2.0, 1.0) == 2.5465701546826285
