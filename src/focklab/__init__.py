@@ -23,7 +23,6 @@ from .symbols import (
     variable,
 )
 from .quadrature import (
-    GrowthEnvelope,
     IntegralResult,
     PolarIntegrand,
     QuadratureSpec,
@@ -31,9 +30,8 @@ from .quadrature import (
 )
 from .fock import (
     NormValue,
-    check_derivative_bound,
     check_embedding,
-    check_pointwise_bound,
+    check_growth_inequalities,
     fock_distance,
     fock_norm,
     kernel,

@@ -40,7 +40,6 @@ from .errors import BoundViolated, NumericFailure
 from .quadrature import (
     _LOG_RANGE,
     DEFAULT_SPEC,
-    GrowthEnvelope,
     PolarIntegrand,
     QuadratureSpec,
     gaussian_integral,
@@ -107,14 +106,11 @@ def cusp_points(f: EntireFunction, power: float, radius: float) -> tuple[complex
 def magnitude_power_integrand(f: EntireFunction, power: float) -> PolarIntegrand:
     """|f|^power as a quadrature integrand with envelope, oscillation and cusp metadata."""
     amp, degree, rate = symbols.envelope_majorant(f)
-    envelope = GrowthEnvelope.single(
+    return PolarIntegrand(
+        log_magnitude=lambda zs: power * symbols.log_abs_grid(f, zs),
         amplitude=amp**power if amp > 0 else 0.0,
         degree=degree * power,
         rate=rate * power,
-    )
-    return PolarIntegrand(
-        log_magnitude=lambda zs: power * symbols.log_abs_grid(f, zs),
-        envelope=envelope,
         angular_degree=power * degree,
         angular_rate=power * rate,
         cusps=functools.partial(cusp_points, f, power),
@@ -460,48 +456,39 @@ class BoundReport:
     norm: NormValue
 
 
-def check_pointwise_bound(f: EntireFunction, p: float,
-                          sample: np.ndarray | None = None,
-                          spec: QuadratureSpec | None = None,
-                          tolerance: float = 1e-8) -> BoundReport:
-    """Certify |f(z)| <= e^{|z|^2/2} ||f||_p on the sample; returns the max ratio."""
+def _certified(bound: str, ratios: np.ndarray, sample: np.ndarray, norm: NormValue,
+               tolerance: float) -> BoundReport:
+    k = int(np.argmax(ratios))
+    report = BoundReport(bound, float(ratios[k]), complex(sample.ravel()[k]), norm)
+    if report.max_ratio > 1.0 + tolerance:
+        raise BoundViolated(
+            f"{bound.replace('-', ' ')} bound violated: ratio {report.max_ratio} at z = {report.witness}",
+            witness=report.witness,
+        )
+    return report
+
+
+def check_growth_inequalities(f: EntireFunction, p: float,
+                              sample: np.ndarray | None = None,
+                              spec: QuadratureSpec | None = None,
+                              tolerance: float = 1e-8) -> tuple[BoundReport, BoundReport]:
+    """Certify |f(z)| <= e^{|z|^2/2} ||f||_p and |f'(z)| <= e^2 (1+|z|)
+    e^{|z|^2/2} ||f||_p on the sample from one norm; returns the pointwise
+    and the derivative report, each with its max ratio."""
     sample = default_bound_grid() if sample is None else np.asarray(sample, dtype=complex)
     norm = fock_norm(f, p, spec)
     if norm.value == 0.0:
-        return BoundReport("pointwise-growth", 0.0, 0j, norm)
-    lhs = np.exp(symbols.log_abs_grid(f, sample) - np.abs(sample) ** 2 / 2.0)
-    ratios = lhs / norm.value
-    k = int(np.argmax(ratios))
-    report = BoundReport("pointwise-growth", float(ratios[k]), complex(sample.ravel()[k]), norm)
-    if report.max_ratio > 1.0 + tolerance:
-        raise BoundViolated(
-            f"pointwise growth bound violated: ratio {report.max_ratio} at z = {report.witness}",
-            witness=report.witness,
-        )
-    return report
-
-
-def check_derivative_bound(f: EntireFunction, p: float,
-                           sample: np.ndarray | None = None,
-                           spec: QuadratureSpec | None = None,
-                           tolerance: float = 1e-8) -> BoundReport:
-    """Certify |f'(z)| <= e^2 (1+|z|) e^{|z|^2/2} ||f||_p on the sample."""
-    sample = default_bound_grid() if sample is None else np.asarray(sample, dtype=complex)
-    norm = fock_norm(f, p, spec)
-    df = symbols.differentiate(f)
-    if norm.value == 0.0 or df.is_zero:
-        return BoundReport("derivative-growth", 0.0, 0j, norm)
+        return (BoundReport("pointwise-growth", 0.0, 0j, norm),
+                BoundReport("derivative-growth", 0.0, 0j, norm))
     r = np.abs(sample)
+    lhs = np.exp(symbols.log_abs_grid(f, sample) - r**2 / 2.0)
+    pointwise = _certified("pointwise-growth", lhs / norm.value, sample, norm, tolerance)
+    df = symbols.differentiate(f)
+    if df.is_zero:
+        return pointwise, BoundReport("derivative-growth", 0.0, 0j, norm)
     log_bound = 2.0 + np.log1p(r) + r**2 / 2.0 + math.log(norm.value)
     ratios = np.exp(symbols.log_abs_grid(df, sample) - log_bound)
-    k = int(np.argmax(ratios))
-    report = BoundReport("derivative-growth", float(ratios[k]), complex(sample.ravel()[k]), norm)
-    if report.max_ratio > 1.0 + tolerance:
-        raise BoundViolated(
-            f"derivative growth bound violated: ratio {report.max_ratio} at z = {report.witness}",
-            witness=report.witness,
-        )
-    return report
+    return pointwise, _certified("derivative-growth", ratios, sample, norm, tolerance)
 
 
 @dataclass(frozen=True)

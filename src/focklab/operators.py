@@ -200,13 +200,16 @@ def _family_sup(image_norm, p: float, family: FamilySpec,
                 spec: QuadratureSpec,
                 extra_centers: Sequence[complex] = ()) -> float:
     """max over the family of the lower side of ||image(f)||_q / ||f||_p,
-    under both error estimates; kernels have unit p-norm."""
+    under both error estimates; kernels have unit p-norm.
+
+    The monomials go first, highest degree first: an image norm beyond the
+    float range, which ends the sweep, shows there soonest.
+    """
+    ratios = [image_norm(f).lower / fock_norm(f, p, spec).upper
+              for f in map(symbols.monomial, range(family.monomial_degree, -1, -1))]
     centers = list(polar_grid(family.kernel_radius, family.kernel_radii, family.kernel_angles,
                               include_origin=True))
-    centers += list(extra_centers)
-    ratios = [image_norm(kernel(w)).lower for w in centers]
-    ratios += [image_norm(f).lower / fock_norm(f, p, spec).upper
-               for f in map(symbols.monomial, range(family.monomial_degree + 1))]
+    ratios += [image_norm(kernel(w)).lower for w in centers + list(extra_centers)]
     return max(ratios)
 
 

@@ -4,11 +4,19 @@ The engine computes (s / 2 pi) * integral of g(z) exp(-s|z|^2 / 2) dA(z) in
 polar coordinates: composite Gauss-Legendre panels in the radius, an
 equispaced periodic rule in the angle.  Integrands are supplied in log form
 (so |f|^p for huge |z| never overflows) together with an analytic growth
-envelope of the shape
+envelope g(z) <= A (1 + r)^d exp(K r), r = |z|, which yields a rigorous
+truncation-tail bound by completing the square.
 
-    g(z) <= sum_j A_j (1 + r)^{d_j} exp(K_j r),   r = |z|,
-
-which yields a rigorous truncation-tail bound by completing the square.
+``_integrate`` is the engine's one loop.  It takes the smallest radius
+2, 4, 8, ... (at most max_radius) whose tail bound is below abs_tol / 2 and
+runs a radial pass: at least four base panels of width at most 2, each
+split in two until its halves agree within its share of the tolerance
+(``_adaptive_radial``).  The first pass's base panels fix the
+relative-tolerance scale.  While the angular estimate misses a quarter of
+the tolerance, the node counts of every panel double (``mult``) and the
+pass reruns.  An integrand that peaks beyond exp(+-_LOG_RANGE) on the first
+pass's base panels (|f|^p at p = 1000, say) restarts once in units of that
+peak, which ``IntegralResult.log_scale`` carries back to the caller.
 
 Angular node counts follow the oscillation bound of |exp(cz)|^p on |z| = r,
 whose scale is p|c|r.  The equispaced rule is spectrally accurate only for
@@ -19,14 +27,7 @@ integrand names its cusps (``PolarIntegrand.cusps``): every radial panel
 then cuts its circle at the cusp angles and integrates each arc with a
 trapezoid rule after a sin^4 substitution (Sidi 1993) that grades the
 nodes toward both ends, and every cusp modulus is a radial panel edge.  The
-coarse/fine estimate is then honest again.  An integrand without cusps runs
-the equispaced rule alone.  Either way, when the angular estimate misses
-its share of the tolerance, the node counts of every panel double and the
-radial pass reruns.
-
-An integrand that peaks beyond exp(+-_LOG_RANGE) on the first pass's base
-panels (|f|^p at p = 1000, say) is integrated in units of that peak, which
-``IntegralResult.log_scale`` carries back to the caller.
+coarse/fine estimate is then honest again.
 """
 
 from __future__ import annotations
@@ -96,27 +97,10 @@ class IntegralResult:
 
 
 @dataclass(frozen=True)
-class EnvelopeTerm:
-    """A (1+r)^degree exp(rate r)."""
-
-    amplitude: float
-    degree: float = 0.0
-    rate: float = 0.0
-
-
-@dataclass(frozen=True)
-class GrowthEnvelope:
-    terms: tuple[EnvelopeTerm, ...]
-
-    @staticmethod
-    def single(amplitude: float, degree: float = 0.0, rate: float = 0.0) -> "GrowthEnvelope":
-        return GrowthEnvelope((EnvelopeTerm(amplitude, degree, rate),))
-
-
-@dataclass(frozen=True)
 class PolarIntegrand:
     """Nonnegative integrand g given through log g, with growth metadata.
 
+    g(z) <= amplitude (1 + r)^degree exp(rate r) on |z| = r.
     ``angular_degree`` and ``angular_rate`` bound the angular oscillation of g
     on |z| = r by degree + rate * r (callers fold any power p into both).
     ``cusps`` maps a truncation radius to the points off the origin inside it
@@ -125,50 +109,34 @@ class PolarIntegrand:
     """
 
     log_magnitude: Callable[[np.ndarray], np.ndarray]
-    envelope: GrowthEnvelope
+    amplitude: float
+    degree: float = 0.0
+    rate: float = 0.0
     angular_degree: float = 0.0
     angular_rate: float = 0.0
     cusps: Callable[[float], Sequence[complex]] | None = None
 
 
-def _tail_bound(envelope: GrowthEnvelope, s: float, radius: float, shift: float) -> float:
-    """Rigorous bound on the dA-integral of env(|z|) e^{-s|z|^2/2 - shift} beyond radius.
+def _tail_bound(g: PolarIntegrand, s: float, radius: float, shift: float) -> float:
+    """Rigorous bound on the dA-integral of g e^{-s|z|^2/2 - shift} beyond radius.
 
-    Per term, completing the square in K r - beta r^2 (beta = s/2) gives
+    Completing the square in K r - beta r^2 (beta = s/2) gives
        2 pi * (2 A / beta) e^{K^2/(2 beta)} (1+R)^d e^{-beta R^2 / 2},
     valid once (1+r)^d r e^{-beta r^2 / 4} decreases beyond the radius;
     before that the bound is inf.
     """
-    total = 0.0
     beta = s / 2.0
-    for t in envelope.terms:
-        if t.amplitude == 0.0:  # a p-th power that underflowed bounds no tail
-            continue
-        if t.degree / (1.0 + radius) + 1.0 / radius > beta * radius / 2.0:
-            return math.inf
-        log_term = (
-            math.log(2.0 * t.amplitude / beta)
-            + square(t.rate) / (2.0 * beta)
-            + t.degree * math.log1p(radius)
-            - beta * radius**2 / 2.0
-        )
-        total += math.exp(min(log_term - shift, 700.0))
-    return 2.0 * math.pi * total
-
-
-def _choose_radius(envelope: GrowthEnvelope, s: float, prefactor: float,
-                   spec: QuadratureSpec, shift: float) -> tuple[float, float]:
-    """Doubling search for the smallest radius whose tail bound is below abs_tol/2."""
-    radius = 2.0
-    while True:
-        tail = prefactor * _tail_bound(envelope, s, radius, shift)
-        if tail <= spec.abs_tol / 2.0:
-            return radius, tail
-        if radius >= spec.max_radius:
-            raise ToleranceNotMet(
-                f"tail bound not below {spec.abs_tol / 2:g} at max radius {spec.max_radius}"
-            )
-        radius = min(radius * 2.0, spec.max_radius)
+    if g.amplitude == 0.0:  # a p-th power that underflowed bounds no tail
+        return 0.0
+    if g.degree / (1.0 + radius) + 1.0 / radius > beta * radius / 2.0:
+        return math.inf
+    log_term = (
+        math.log(2.0 * g.amplitude / beta)
+        + square(g.rate) / (2.0 * beta)
+        + g.degree * math.log1p(radius)
+        - beta * radius**2 / 2.0
+    )
+    return 2.0 * math.pi * math.exp(min(log_term - shift, 700.0))
 
 
 def _angular_count(integrand: PolarIntegrand, r: float, mult: int) -> int:
@@ -218,17 +186,13 @@ class _RadialIntegrator:
         self.mult = mult
         self.cusp_angles = cusp_angles
         self.shift = shift
-        self.evals = 0
-        # the largest log value seen while watch_peak is set
-        self.watch_peak = False
-        self.peak = -math.inf
         # per angular node count: the phases e^{i theta} and, with cusps,
         # the graded arcs' fine and coarse weights
         self._rules: dict[int, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
 
-    def panel(self, r0: float, r1: float) -> tuple[float, float]:
-        """(integral over [r0, r1], angular error estimate), both including dtheta."""
-        self.evals += 1
+    def panel(self, r0: float, r1: float) -> tuple[float, float, np.ndarray]:
+        """(integral over [r0, r1], angular error estimate), both including
+        dtheta, and the log of the weighted integrand at the panel's nodes."""
         half = 0.5 * (r1 - r0)
         r = r0 + half * (_NODES + 1.0)
         w = half * _WEIGHTS
@@ -242,8 +206,6 @@ class _RadialIntegrator:
         phase, fine_w, coarse_w = self._rules[n]
         zs = r[:, None] * phase[None, :]
         logs = self.integrand.log_magnitude(zs) - (self.s * r * r / 2.0)[:, None]
-        if self.watch_peak:
-            self.peak = max(self.peak, float(np.max(logs)))
         # an overflow (inf, or inf - inf) fails the accept tests downstream
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.exp(logs - self.shift if self.shift else logs)
@@ -254,60 +216,32 @@ class _RadialIntegrator:
                 coarse = vals[:, ::2].mean(axis=1) * (2.0 * np.pi)
             value = float(np.dot(w, fine * r))
             ang_err = float(np.dot(w, np.abs(fine - coarse) * r))
-        return value, ang_err
+        return value, ang_err, logs
 
 
-class _OutOfRange(Exception):
-    """The first pass's base panels peak at exp(peak), beyond the float range."""
-
-    def __init__(self, peak: float):
-        super().__init__(peak)
-        self.peak = peak
-
-
-def _adaptive_radial(integrand: PolarIntegrand, s: float, radius: float, mult: int,
-                     spec: QuadratureSpec, prefactor: float, budget: float | None,
-                     cusps: Sequence[complex],
-                     shift: float) -> tuple[float, float, float, bool, float]:
-    """Adaptive bisection on [0, radius] with per-panel accept/split control.
-
-    A pass without a ``budget`` (the first one) takes the scale of its
-    relative-tolerance budget from the sum of its base panels, and raises
-    _OutOfRange when an unshifted integrand peaks beyond exp(+-_LOG_RANGE)
-    there.  Every cusp modulus is a panel edge.  Returns (value, radial
-    error, angular error, budget_exhausted, budget), all without the
-    prefactor and in units of exp(shift).
+def _adaptive_radial(engine: _RadialIntegrator, stack: list, radius: float,
+                     budget: float) -> tuple[float, float, float, bool]:
+    """Bisect the base panels on ``stack``, (r0, r1, value, angular error,
+    depth) each, until the halves of every panel agree within its share of
+    ``budget``.  Returns (value, radial error, angular error,
+    budget_exhausted), all without the prefactor and in units of
+    exp(engine.shift).
     """
-    angles = np.unique(np.mod(np.angle(cusps), 2.0 * np.pi)) if cusps else np.empty(0)
-    engine = _RadialIntegrator(integrand, s, mult, angles, shift)
-    engine.watch_peak = budget is None and shift == 0.0
-    base = max(4, min(48, int(math.ceil(radius / 2.0))))
-    edges = np.linspace(0.0, radius, base + 1)
-    if cusps:
-        edges = np.unique(np.concatenate((edges, np.abs(cusps))))
-    stack = [(edges[i], edges[i + 1], *engine.panel(edges[i], edges[i + 1]), 0)
-             for i in range(edges.size - 1)]
-    engine.watch_peak = False
-    if engine.peak > _LOG_RANGE or -math.inf < engine.peak < -_LOG_RANGE:
-        raise _OutOfRange(engine.peak)
-    if budget is None:
-        scale = prefactor * sum(panel[2] for panel in stack)
-        budget = max(spec.abs_tol, spec.rel_tol * abs(scale)) / 2.0 / prefactor
-    value = 0.0
-    radial_err = 0.0
-    ang_err = 0.0
+    evals = len(stack)
+    value = radial_err = ang_err = 0.0
     exhausted = False
     while stack:
         r0, r1, whole, ang_whole, depth = stack.pop()
-        if depth >= _MAX_DEPTH or engine.evals >= _MAX_SPLITS:
-            exhausted = exhausted or engine.evals >= _MAX_SPLITS
+        if depth >= _MAX_DEPTH or evals >= _MAX_SPLITS:
+            exhausted = exhausted or evals >= _MAX_SPLITS
             value += whole
             ang_err += ang_whole
             radial_err += abs(whole) * 1e-14
             continue
         mid = 0.5 * (r0 + r1)
-        left, ang_left = engine.panel(r0, mid)
-        right, ang_right = engine.panel(mid, r1)
+        left, ang_left, _ = engine.panel(r0, mid)
+        right, ang_right, _ = engine.panel(mid, r1)
+        evals += 2
         err = abs(left + right - whole)
         if err <= budget * (r1 - r0) / radius:
             value += left + right
@@ -316,19 +250,42 @@ def _adaptive_radial(integrand: PolarIntegrand, s: float, radius: float, mult: i
         else:
             stack.append((r0, mid, left, ang_left, depth + 1))
             stack.append((mid, r1, right, ang_right, depth + 1))
-    return value, radial_err, ang_err, exhausted, budget
+    return value, radial_err, ang_err, exhausted
 
 
-def _integrate_shifted(integrand: PolarIntegrand, s: float, prefactor: float,
-                      spec: QuadratureSpec, shift: float) -> IntegralResult:
-    radius, tail = _choose_radius(integrand.envelope, s, prefactor, spec, shift)
-    cusps = tuple(integrand.cusps(radius)) if integrand.cusps else ()
-    budget = None
-    mult = 1
+def _integrate(integrand: PolarIntegrand, s: float, prefactor: float,
+               spec: QuadratureSpec) -> IntegralResult:
+    shift, mult, budget = 0.0, 1, None
     while True:
-        value, radial_err, ang_err, exhausted, budget = _adaptive_radial(
-            integrand, s, radius, mult, spec, prefactor, budget, cusps, shift
-        )
+        if budget is None:  # the first pass, unshifted or restarted in units of the peak
+            radius = 2.0  # the smallest of 2, 4, 8, ... whose tail is below abs_tol / 2
+            while not (tail := prefactor * _tail_bound(integrand, s, radius, shift)) <= spec.abs_tol / 2:
+                if radius >= spec.max_radius:
+                    raise ToleranceNotMet(
+                        f"tail bound not below {spec.abs_tol / 2:g} at max radius {spec.max_radius}"
+                    )
+                radius = min(radius * 2.0, spec.max_radius)
+            cusps = tuple(integrand.cusps(radius)) if integrand.cusps else ()
+            angles = np.unique(np.mod(np.angle(cusps), 2.0 * np.pi)) if cusps else np.empty(0)
+            edges = np.linspace(0.0, radius, max(4, min(48, int(math.ceil(radius / 2.0)))) + 1)
+            if cusps:
+                edges = np.unique(np.concatenate((edges, np.abs(cusps))))
+        engine = _RadialIntegrator(integrand, s, mult, angles, shift)
+        stack, peak = [], -math.inf
+        for r0, r1 in zip(edges[:-1], edges[1:]):
+            whole, ang_whole, logs = engine.panel(r0, r1)
+            stack.append((r0, r1, whole, ang_whole, 0))
+            if budget is None and shift == 0.0:
+                peak = max(peak, float(logs.max()))
+        if peak > _LOG_RANGE or -math.inf < peak < -_LOG_RANGE:
+            if peak == math.inf:
+                raise ToleranceNotMet(f"log of the integrand reaches {peak} on the base panels")
+            shift = peak
+            continue
+        if budget is None:
+            scale = prefactor * sum(panel[2] for panel in stack)
+            budget = max(spec.abs_tol, spec.rel_tol * abs(scale)) / 2.0 / prefactor
+        value, radial_err, ang_err, exhausted = _adaptive_radial(engine, stack, radius, budget)
         value *= prefactor
         radial_err *= prefactor
         ang_err *= prefactor
@@ -347,16 +304,6 @@ def _integrate_shifted(integrand: PolarIntegrand, s: float, prefactor: float,
             f"error estimate {error:g} exceeds tolerance {tol:g} (value {value:g})"
         )
     return IntegralResult(value, error, radius, shift)
-
-
-def _integrate(integrand: PolarIntegrand, s: float, prefactor: float,
-               spec: QuadratureSpec) -> IntegralResult:
-    try:
-        return _integrate_shifted(integrand, s, prefactor, spec, 0.0)
-    except _OutOfRange as exc:
-        if not math.isfinite(exc.peak):
-            raise ToleranceNotMet(f"log of the integrand reaches {exc.peak} on the base panels") from None
-        return _integrate_shifted(integrand, s, prefactor, spec, exc.peak)
 
 
 def gaussian_integral(integrand: PolarIntegrand, s: float,

@@ -301,8 +301,15 @@ def log_abs_grid(f: EntireFunction, zs: np.ndarray) -> np.ndarray:
         (t,) = f.terms
         poly = abs(t.coeffs[0]) if t.degree == 0 else np.abs(
             np.polynomial.polynomial.polyval(zs, np.asarray(t.coeffs)))
-        with np.errstate(divide="ignore", over="ignore"):
-            return t.rate.real * zs.real - t.rate.imag * zs.imag + np.log(poly)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            re = t.rate.real * zs.real - t.rate.imag * zs.imag
+            lost = np.isnan(re)
+            if lost.any():  # inf - inf: take Re(cz) from c / 2^e, whose products stay finite
+                e = math.frexp(max(abs(t.rate.real), abs(t.rate.imag)))[1]
+                w = zs[lost]
+                re[lost] = np.ldexp(math.ldexp(t.rate.real, -e) * w.real
+                                    - math.ldexp(t.rate.imag, -e) * w.imag, e)
+            return re + np.log(poly)
     m, acc = _scaled_values(f, zs)
     with np.errstate(divide="ignore"):
         return m + np.log(np.abs(acc))

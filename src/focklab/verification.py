@@ -33,9 +33,8 @@ from .criteria import (
 )
 from .errors import FocklabError, HypothesisViolated
 from .fock import (
-    check_derivative_bound,
     check_embedding,
-    check_pointwise_bound,
+    check_growth_inequalities,
     fock_norm,
     kernel,
 )
@@ -49,7 +48,6 @@ from .operators import (
 )
 from .quadrature import (
     CHECK_SPEC,
-    GrowthEnvelope,
     PolarIntegrand,
     gaussian_integral,
     polar_grid,
@@ -98,7 +96,8 @@ def check_kernel_normalization(rng: np.random.Generator, fast: bool = False) -> 
 def _moment_integrand(n: int) -> PolarIntegrand:
     return PolarIntegrand(
         log_magnitude=lambda zs: 2.0 * n * np.log(np.abs(zs)) if n else np.zeros(zs.shape),
-        envelope=GrowthEnvelope.single(1.0, degree=2.0 * n),
+        amplitude=1.0,
+        degree=2.0 * n,
     )
 
 
@@ -130,8 +129,9 @@ def check_growth_bounds(rng: np.random.Generator, fast: bool = False) -> CheckRe
     for k in range(count):
         f = random_entire_function(rng)
         p = exponents[k % len(exponents)]
-        worst_point = max(worst_point, check_pointwise_bound(f, p, spec=CHECK_SPEC).max_ratio)
-        worst_deriv = max(worst_deriv, check_derivative_bound(f, p, spec=CHECK_SPEC).max_ratio)
+        pointwise, derivative = check_growth_inequalities(f, p, spec=CHECK_SPEC)
+        worst_point = max(worst_point, pointwise.max_ratio)
+        worst_deriv = max(worst_deriv, derivative.max_ratio)
     passed = worst_point <= 1.0 + 1e-8 and worst_deriv <= 1.0 + 1e-8
     return _result(
         "growth-bound-suite", passed,

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from focklab import symbols as sy
+from focklab import fock, symbols as sy
 from focklab.errors import BoundViolated
 from focklab.fock import (
-    check_derivative_bound,
     check_embedding,
-    check_pointwise_bound,
+    check_growth_inequalities,
     default_bound_grid,
     fock_distance,
     fock_norm,
@@ -74,29 +73,36 @@ def test_sup_norm_examples():
 def test_pointwise_bound_reports():
     w = 1 + 1j
     grid = np.concatenate([default_bound_grid(), [w]])
-    report = check_pointwise_bound(kernel(w), 2.0, sample=grid)
+    report, _ = check_growth_inequalities(kernel(w), 2.0, sample=grid)
     assert math.isclose(report.max_ratio, 1.0, rel_tol=1e-9)
     assert abs(report.witness - w) < 1e-9
 
-    report = check_pointwise_bound(sy.ONE, 2.0)
+    report, _ = check_growth_inequalities(sy.ONE, 2.0)
     assert math.isclose(report.max_ratio, 1.0, rel_tol=1e-9)
     assert abs(report.witness) < 1e-9
 
-    report = check_pointwise_bound(sy.variable(), 2.0)
+    report, _ = check_growth_inequalities(sy.variable(), 2.0)
     assert report.max_ratio <= math.exp(-0.5) * (1 + 1e-9)
 
 
 def test_derivative_bound_reports():
-    report = check_derivative_bound(sy.ONE, 2.0)
+    _, report = check_growth_inequalities(sy.ONE, 2.0)
     assert report.max_ratio == 0.0
 
     # |f'| = 1 for f = z; the bound is smallest at the origin, e^2 * ||z||_2
     grid = default_bound_grid()
-    report = check_derivative_bound(sy.variable(), 2.0, sample=grid)
+    _, report = check_growth_inequalities(sy.variable(), 2.0, sample=grid)
     assert math.isclose(report.max_ratio, math.exp(-2.0), rel_tol=1e-8)
 
-    report = check_derivative_bound(kernel(2.0), 2.0)
+    _, report = check_growth_inequalities(kernel(2.0), 2.0)
     assert report.max_ratio <= 1.0
+
+
+def test_growth_inequalities_compute_the_norm_once(monkeypatch):
+    norm, calls = fock.fock_norm, []
+    monkeypatch.setattr(fock, "fock_norm", lambda *args: calls.append(args) or norm(*args))
+    pointwise, derivative = check_growth_inequalities(kernel(1 - 1j), 1.5)
+    assert len(calls) == 1 and pointwise.norm is derivative.norm
 
 
 def test_pointwise_bound_saturated_by_pure_exponentials():
@@ -106,13 +112,14 @@ def test_pointwise_bound_saturated_by_pure_exponentials():
     f = sy.exp_term(rate, 0.8)
     grid = np.concatenate([default_bound_grid(), [rate.conjugate()]])
     for p in (0.5, 2.0, 3.7):
-        report = check_pointwise_bound(f, p, sample=grid)
+        report, _ = check_growth_inequalities(f, p, sample=grid)
         assert math.isclose(report.max_ratio, 1.0, rel_tol=1e-9)
 
 
 def test_bound_violation_raises_with_witness():
-    with pytest.raises(BoundViolated):
-        check_pointwise_bound(kernel(1.0), 2.0, tolerance=-0.5)
+    with pytest.raises(BoundViolated, match="pointwise growth bound violated") as caught:
+        check_growth_inequalities(kernel(1.0), 2.0, tolerance=-0.5)
+    assert caught.value.witness is not None
 
 
 def test_embedding_examples():

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from focklab import symbols as sy
+from focklab import operators, symbols as sy
 from focklab.errors import NumericFailure, TailLoss, ZeroSymbol
 from focklab.fock import kernel
 from focklab.operators import (
@@ -152,6 +152,20 @@ def test_family_sweep_starts_no_thread(monkeypatch):
     assert empirical_norm(op, SMALL_FAMILY, CHECK_SPEC) >= 1.0
     other = composition_operator(AffineMap(0.5, 0.0), 2.0, 2.0)
     assert empirical_distance(op, other, SMALL_FAMILY, CHECK_SPEC) > 0.0
+
+
+def test_family_sweep_tries_the_highest_monomial_first():
+    # an image norm past the float range ends the sweep; the monomials of
+    # highest degree have the largest images, so they go before the kernels
+    seen = []
+
+    def overflowing(f):
+        seen.append(f)
+        raise NumericFailure("the 4.0-norm exceeds the float range")
+
+    with pytest.raises(NumericFailure):
+        operators._family_sup(overflowing, 2.0, SMALL_FAMILY, CHECK_SPEC)
+    assert seen == [sy.monomial(SMALL_FAMILY.monomial_degree)]
 
 
 def test_mismatched_exponent_distance_rejected():

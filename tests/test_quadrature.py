@@ -1,5 +1,6 @@
 """Engine oracles: Gaussian moments, cusp closed forms, tail logic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from focklab.parsing import parse_affine, parse_symbol
 from focklab.quadrature import (
     CHECK_SPEC,
     DEFAULT_SPEC,
-    GrowthEnvelope,
     PolarIntegrand,
     QuadratureSpec,
     gaussian_integral,
@@ -27,12 +27,13 @@ ULP = 2.0**-52
 def moment_integrand(n: int) -> PolarIntegrand:
     return PolarIntegrand(
         log_magnitude=lambda zs: 2.0 * n * np.log(np.abs(zs)) if n else np.zeros(zs.shape),
-        envelope=GrowthEnvelope.single(1.0, degree=2.0 * n),
+        amplitude=1.0,
+        degree=2.0 * n,
     )
 
 
 def test_unit_integrand_is_normalized():
-    one = PolarIntegrand(lambda zs: np.zeros(zs.shape), GrowthEnvelope.single(1.0))
+    one = PolarIntegrand(lambda zs: np.zeros(zs.shape), 1.0)
     for s in (0.5, 1.0, 2.0, 3.7):
         assert math.isclose(gaussian_integral(one, s).value, 1.0, rel_tol=1e-11)
 
@@ -70,11 +71,8 @@ def test_rotation_invariance(rng):
     reference = gaussian_integral(base, 2.0).value
     for theta in (0.7, 2.1):
         twist = complex(math.cos(theta), math.sin(theta))
-        rotated = PolarIntegrand(
-            log_magnitude=lambda zs, t=twist: base.log_magnitude(t * zs),
-            envelope=base.envelope,
-            angular_degree=base.angular_degree,
-            angular_rate=base.angular_rate,
+        rotated = dataclasses.replace(
+            base, log_magnitude=lambda zs, t=twist: base.log_magnitude(t * zs), cusps=None
         )
         assert abs(gaussian_integral(rotated, 2.0).value - reference) < 1e-10
 
@@ -82,7 +80,8 @@ def test_rotation_invariance(rng):
 def test_tolerance_not_met_when_radius_cap_too_small():
     integrand = PolarIntegrand(
         log_magnitude=lambda zs: 30.0 * np.abs(zs),
-        envelope=GrowthEnvelope.single(1.0, rate=30.0),
+        amplitude=1.0,
+        rate=30.0,
         angular_rate=30.0,
     )
     with pytest.raises(ToleranceNotMet):
@@ -206,9 +205,10 @@ def test_ungraded_integrands_keep_their_arithmetic(kind, text, p, value, estimat
 
 # (symbol, p, spec, value, error_estimate, truncation_radius) of fock_norm
 # through the engine's rare branches: a graded cusp (p m = 5 at z = 0.5), the
-# restart in units of the peak (|0.6 z|^1000 e^{-500|z|^2} peaks near
-# e^{-1700}) and an angular escalation to mult 8 (the four-term image that
-# the large-to-small check of ``verify --seed 0`` integrates at q = 1)
+# restart in units of the peak (|0.6 z|^1000 e^{-500|z|^2}, fock_norm's
+# rescaled 0.3 z, peaks at e^{-1011}) and an angular escalation to mult 8
+# (the four-term image that the large-to-small check of ``verify --seed 0``
+# integrates at q = 1)
 _C12_IMAGE = sy.EntireFunction((
     sy.PolyExpTerm(((-0.6482800225115843-2.6627019326434094j), (0.38861156517791984+0.2334763978568548j),
                     (-0.6639707438924685-1.7022320438106773j), (-0.03184113053551073-0.2963654734500015j)),

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,13 @@ def test_one_term_log_kernel_at_zeros_and_overflow():
     f = parse_symbol("exp(1e308*z)")
     assert list(sy.log_abs_grid(f, np.array([10 + 0j, -10 + 0j]))) == [math.inf, -math.inf]
     assert log_gauge_grid(f, AffineMap(0.5), np.array([10 + 0j]))[0] == math.inf
+    # both products of Re(c)x - Im(c)y overflow with opposite signs although
+    # Re(cz) is 0 at 10 - 10i and 2e309 at 10 + 10i
+    f = parse_symbol("exp((1e308-1e308i)*z)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sy.log_abs_grid(f, np.array([10 - 10j, 10 + 10j, 1 + 0j]))
+    assert list(got) == [0.0, math.inf, 1e308]
     # a constant P reads log|c| everywhere
     f = sy.exp_term(0.25 - 1j, 3 - 4j)
     zs = np.array([0j, 2 + 1j, -7j])
