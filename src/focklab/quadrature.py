@@ -8,15 +8,20 @@ envelope g(z) <= A (1 + r)^d exp(K r), r = |z|, which yields a rigorous
 truncation-tail bound by completing the square.
 
 ``_integrate`` is the engine's one loop.  It takes the smallest radius
-2, 4, 8, ... (at most max_radius) whose tail bound is below abs_tol / 2 and
-runs a radial pass: at least four base panels of width at most 2, each
-split in two until its halves agree within its share of the tolerance
-(``_adaptive_radial``).  The first pass's base panels fix the
-relative-tolerance scale.  While the angular estimate misses a quarter of
-the tolerance, the node counts of every panel double (``mult``) and the
-pass reruns.  An integrand that peaks beyond exp(+-_LOG_RANGE) on the first
-pass's base panels (|f|^p at p = 1000, say) restarts once in units of that
-peak, which ``IntegralResult.log_scale`` carries back to the caller.
+2, 4, 6, ... (at most max_radius) whose tail bound is below abs_tol / 2 and
+runs a radial pass over at least four base panels of width at most 2.  Each
+panel is evaluated once, at the radii of the 32- and the 16-node
+Gauss-Legendre rules (they share none): it keeps the 32-node value, and the
+gap between the two is its radial error estimate, an embedded pair in the
+manner of Kronrod (1965) and QUADPACK.  Only a panel whose gap misses its
+share of the tolerance is bisected (``_adaptive_radial``).  The first pass's
+base panels fix that tolerance: its relative part from their sum, its
+absolute part in units of their peak where the peak is below 1.  While the
+angular estimate misses a quarter of the tolerance, the node counts of every
+panel double (``mult``) and the pass reruns.  An integrand that peaks beyond
+exp(+-_LOG_RANGE) on the first pass's base panels (|f|^p at p = 1000, say)
+restarts once in units of that peak, which ``IntegralResult.log_scale``
+carries back to the caller.
 
 Angular node counts follow the oscillation bound of |exp(cz)|^p on |z| = r,
 whose scale is p|c|r.  The equispaced rule is spectrally accurate only for
@@ -52,8 +57,11 @@ _ARC_MIN_NODES = 32
 _ARC_SHARE = 2.0
 # an integrand peaking beyond exp(+-_LOG_RANGE) is integrated in units of its peak
 _LOG_RANGE = 600.0
-# Gauss-Legendre rule of each radial panel
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
+# the radial rules of a panel on [-1, 1]: 32 Gauss-Legendre nodes, then 16
+_NODES, _WEIGHTS = (np.concatenate(pair) for pair in zip(np.polynomial.legendre.leggauss(32),
+                                                         np.polynomial.legendre.leggauss(16)))
+# exp(x) underflows to zero below this x, which then bears no rounding error
+_LOG_UNDERFLOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -190,12 +198,16 @@ class _RadialIntegrator:
         # the graded arcs' fine and coarse weights
         self._rules: dict[int, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
 
-    def panel(self, r0: float, r1: float) -> tuple[float, float, np.ndarray]:
-        """(integral over [r0, r1], angular error estimate), both including
-        dtheta, and the log of the weighted integrand at the panel's nodes."""
+    def panel(self, r0: float, r1: float) -> tuple[float, float, float, float, float]:
+        """(value, radial error, angular error, rounding error) over [r0, r1],
+        each including dtheta, and the largest log of the weighted integrand
+        at the panel's nodes.  The radial error is the gap between the 32-
+        and the 16-node rule; the rounding error takes |x| + 64 ulps of the
+        value, with |x| the largest |log| before any shift at a node that
+        does not underflow (at p = 1000 the log of |f|^p is a difference of
+        numbers near a thousand)."""
         half = 0.5 * (r1 - r0)
         r = r0 + half * (_NODES + 1.0)
-        w = half * _WEIGHTS
         n = _angular_count(self.integrand, r1, self.mult)
         if n not in self._rules:
             if self.cusp_angles.size:
@@ -206,50 +218,51 @@ class _RadialIntegrator:
         phase, fine_w, coarse_w = self._rules[n]
         zs = r[:, None] * phase[None, :]
         logs = self.integrand.log_magnitude(zs) - (self.s * r * r / 2.0)[:, None]
+        top, bottom = float(logs.max()), float(logs.min())
         # an overflow (inf, or inf - inf) fails the accept tests downstream
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.exp(logs - self.shift if self.shift else logs)
             if self.cusp_angles.size:
-                fine, coarse = vals @ fine_w, vals @ coarse_w
+                fine, coarse = vals @ fine_w, vals[:32] @ coarse_w
             else:
                 fine = vals.mean(axis=1) * (2.0 * np.pi)
-                coarse = vals[:, ::2].mean(axis=1) * (2.0 * np.pi)
-            value = float(np.dot(w, fine * r))
-            ang_err = float(np.dot(w, np.abs(fine - coarse) * r))
-        return value, ang_err, logs
+                coarse = vals[:32, ::2].mean(axis=1) * (2.0 * np.pi)
+            rows = _WEIGHTS * fine * r * half
+            value = float(rows[:32].sum())
+            radial_err = abs(value - float(rows[32:].sum()))
+            ang_err = float(np.dot(_WEIGHTS[:32], np.abs(fine[:32] - coarse) * r[:32]) * half)
+            least = self.shift + _LOG_UNDERFLOW
+            span = max(abs(max(top, least)), -max(bottom, least))
+            rounding = abs(value) * (span + 64.0) * 2.0**-52
+        return value, radial_err, ang_err, rounding, top
 
 
 def _adaptive_radial(engine: _RadialIntegrator, stack: list, radius: float,
                      budget: float) -> tuple[float, float, float, bool]:
-    """Bisect the base panels on ``stack``, (r0, r1, value, angular error,
-    depth) each, until the halves of every panel agree within its share of
-    ``budget``.  Returns (value, radial error, angular error,
-    budget_exhausted), all without the prefactor and in units of
-    exp(engine.shift).
+    """Refine the base panels on ``stack``, (r0, r1, ``engine.panel(r0, r1)``,
+    depth) each.  A panel whose radial error is within its share of
+    ``budget`` (its width over ``radius``) is accepted, any other bisected,
+    until _MAX_DEPTH or _MAX_SPLITS accept it as it stands.  Returns (value,
+    radial error, angular error, budget_exhausted), all without the
+    prefactor and in units of exp(engine.shift); the radial error of each
+    accepted panel adds its rounding error, which never splits a panel.
     """
     evals = len(stack)
     value = radial_err = ang_err = 0.0
     exhausted = False
     while stack:
-        r0, r1, whole, ang_whole, depth = stack.pop()
-        if depth >= _MAX_DEPTH or evals >= _MAX_SPLITS:
+        r0, r1, (part, part_err, part_ang, rounding, _), depth = stack.pop()
+        if part_err > budget * (r1 - r0) / radius:
+            if depth < _MAX_DEPTH and evals < _MAX_SPLITS:
+                mid = 0.5 * (r0 + r1)
+                stack.append((r0, mid, engine.panel(r0, mid), depth + 1))
+                stack.append((mid, r1, engine.panel(mid, r1), depth + 1))
+                evals += 2
+                continue
             exhausted = exhausted or evals >= _MAX_SPLITS
-            value += whole
-            ang_err += ang_whole
-            radial_err += abs(whole) * 1e-14
-            continue
-        mid = 0.5 * (r0 + r1)
-        left, ang_left, _ = engine.panel(r0, mid)
-        right, ang_right, _ = engine.panel(mid, r1)
-        evals += 2
-        err = abs(left + right - whole)
-        if err <= budget * (r1 - r0) / radius:
-            value += left + right
-            radial_err += err
-            ang_err += ang_left + ang_right
-        else:
-            stack.append((r0, mid, left, ang_left, depth + 1))
-            stack.append((mid, r1, right, ang_right, depth + 1))
+        value += part
+        radial_err += part_err + rounding
+        ang_err += part_ang
     return value, radial_err, ang_err, exhausted
 
 
@@ -258,33 +271,31 @@ def _integrate(integrand: PolarIntegrand, s: float, prefactor: float,
     shift, mult, budget = 0.0, 1, None
     while True:
         if budget is None:  # the first pass, unshifted or restarted in units of the peak
-            radius = 2.0  # the smallest of 2, 4, 8, ... whose tail is below abs_tol / 2
+            radius = 2.0  # the smallest of 2, 4, 6, ... whose tail is below abs_tol / 2
             while not (tail := prefactor * _tail_bound(integrand, s, radius, shift)) <= spec.abs_tol / 2:
                 if radius >= spec.max_radius:
                     raise ToleranceNotMet(
                         f"tail bound not below {spec.abs_tol / 2:g} at max radius {spec.max_radius}"
                     )
-                radius = min(radius * 2.0, spec.max_radius)
+                radius = min(radius + 2.0, spec.max_radius)
             cusps = tuple(integrand.cusps(radius)) if integrand.cusps else ()
             angles = np.unique(np.mod(np.angle(cusps), 2.0 * np.pi)) if cusps else np.empty(0)
             edges = np.linspace(0.0, radius, max(4, min(48, int(math.ceil(radius / 2.0)))) + 1)
             if cusps:
                 edges = np.unique(np.concatenate((edges, np.abs(cusps))))
         engine = _RadialIntegrator(integrand, s, mult, angles, shift)
-        stack, peak = [], -math.inf
-        for r0, r1 in zip(edges[:-1], edges[1:]):
-            whole, ang_whole, logs = engine.panel(r0, r1)
-            stack.append((r0, r1, whole, ang_whole, 0))
-            if budget is None and shift == 0.0:
-                peak = max(peak, float(logs.max()))
-        if peak > _LOG_RANGE or -math.inf < peak < -_LOG_RANGE:
-            if peak == math.inf:
-                raise ToleranceNotMet(f"log of the integrand reaches {peak} on the base panels")
-            shift = peak
-            continue
+        stack = [(r0, r1, engine.panel(r0, r1), 0) for r0, r1 in zip(edges[:-1], edges[1:])]
         if budget is None:
-            scale = prefactor * sum(panel[2] for panel in stack)
-            budget = max(spec.abs_tol, spec.rel_tol * abs(scale)) / 2.0 / prefactor
+            peak = max(panel[4] for _, _, panel, _ in stack)
+            if shift == 0.0 and (peak > _LOG_RANGE or -math.inf < peak < -_LOG_RANGE):
+                if peak == math.inf:
+                    raise ToleranceNotMet(f"log of the integrand reaches {peak} on the base panels")
+                shift = peak
+                continue
+            # the absolute tolerance splits panels in units of a peak below 1
+            floor = spec.abs_tol * math.exp(min(0.0, peak - shift))
+            scale = prefactor * sum(panel[0] for _, _, panel, _ in stack)
+            budget = max(floor, spec.rel_tol * abs(scale)) / 2.0 / prefactor
         value, radial_err, ang_err, exhausted = _adaptive_radial(engine, stack, radius, budget)
         value *= prefactor
         radial_err *= prefactor

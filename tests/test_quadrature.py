@@ -96,7 +96,9 @@ def test_spec_validation():
 
 
 def test_no_panel_is_evaluated_twice(monkeypatch):
-    # the first pass's base panels also fix the relative-tolerance scale
+    # one Gauss-Legendre pass per panel: the first pass's base panels also
+    # fix the tolerance scale, a smooth integrand at the default spec is
+    # accepted on them, and |z|^{1/2} is bisected toward its cusp at 0
     seen = []
     panel = quadrature._RadialIntegrator.panel
 
@@ -106,8 +108,23 @@ def test_no_panel_is_evaluated_twice(monkeypatch):
 
     monkeypatch.setattr(quadrature._RadialIntegrator, "panel", recording_panel)
     integrand = magnitude_power_integrand(parse_symbol("z^2*exp(0.5*z) + 3*z"), 2.0)
-    assert gaussian_integral(integrand, 2.0).truncation_radius == 16.0
-    assert seen and len(seen) == len(set(seen))
+    assert gaussian_integral(integrand, 2.0).truncation_radius == 10.0
+    assert seen == [(2.0 * k, 2.0 * k + 2.0) for k in range(5)]
+    seen.clear()
+    gaussian_integral(magnitude_power_integrand(parse_symbol("z"), 0.5), 0.5)
+    assert len(seen) > 8 and len(seen) == len(set(seen))
+
+
+def test_tight_spec_norm_meets_its_tolerance():
+    # each panel adds a rounding term to the reported estimate (never to the
+    # split test), which a tolerance of 1e-12 relative leaves little room
+    f = parse_symbol("(1+2i)*z^2*exp((0.5-1i)*z)+3")
+    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+    power = gaussian_integral(magnitude_power_integrand(f, 1.5), 1.5, spec)
+    assert power.error_estimate <= max(spec.abs_tol, spec.rel_tol * power.value)
+    # the norm at this spec when each panel's halves gave its estimate
+    norm = fock_norm(f, 1.5, spec)
+    assert abs(norm.value - 13.268172201395073) <= norm.error_estimate + 8.131703262586769e-13
 
 
 def weyl_text(a: complex, n: int) -> str:
@@ -174,20 +191,21 @@ def test_two_zero_polynomial_meets_a_tighter_spec():
 # (symbol, p, value, error_estimate, before) of integrands without a graded
 # cusp, frozen before the angular rule learned to grade: no zero (exp), a
 # zero at the origin (z^2), an even order p m (p = 1, 3 on a double zero)
-# and an order p m = 7.5 beyond the graded range.  The one-term log kernel
-# (log|P| + Re(cz), no complex exponential) moved four of them by a few ulp;
-# ``before`` holds the pins it replaced, whose estimates cover the move
+# and an order p m = 7.5 beyond the graded range.  The embedded radial
+# estimate (the 32-node value and its gap to the 16-node rule, one pass per
+# panel) moved three values by at most 0.75 of their old estimates and
+# widened the estimates; ``before`` holds the pins it replaced
 _UNGRADED = [
     ("fock", "0.5352614285189903*exp((0.8-0.6i)*z)*(z-(0.8+0.6i))^3", 2.5,
-     1.941990038711027, 1.0181094836705874e-12, (1.9419900387110267, 1.0180011660627145e-12)),
-    ("fock", "z^2", 0.5, 3.1415926535897927, 3.0531673004356048e-12,
+     1.9419900387109506, 6.257106301675423e-11, (1.941990038711027, 1.0181094836705874e-12)),
+    ("fock", "z^2", 0.5, 3.1415926535897927, 3.1497645079523354e-12,
      (3.1415926535897927, 3.0531673004356048e-12)),
-    ("fock", "(1.5-0.5i)*exp((0.3+0.7i)*z)", 0.5, 2.1130773949089465, 2.487773211834002e-13,
-     (2.1130773949089465, 2.4860178026012253e-13)),
-    ("integral", "(z-0.5)^2*exp((0.2-0.1i)*z)", 1.0, 2.1531617531013003, 5.944159081337559e-16,
-     (2.1531617531013003, 4.064853756133256e-16)),
-    ("integral", "(z-0.5)^2*exp((0.2-0.1i)*z)", 3.0, 2.844296744373235, 4.262642746591104e-14,
-     (2.844296744373235, 4.2982111911551384e-14)),
+    ("fock", "(1.5-0.5i)*exp((0.3+0.7i)*z)", 0.5, 2.1130773949089465, 3.123074618694311e-13,
+     (2.1130773949089465, 2.487773211834002e-13)),
+    ("integral", "(z-0.5)^2*exp((0.2-0.1i)*z)", 1.0, 2.1531617531013008, 4.059049155141549e-13,
+     (2.1531617531013003, 5.944159081337559e-16)),
+    ("integral", "(z-0.5)^2*exp((0.2-0.1i)*z)", 3.0, 2.844296744373233, 1.0274398837532653e-13,
+     (2.844296744373235, 4.262642746591104e-14)),
 ]
 
 
@@ -203,12 +221,15 @@ def test_ungraded_integrands_keep_their_arithmetic(kind, text, p, value, estimat
     assert abs(value - before_value) <= before_estimate
 
 
-# (symbol, p, spec, value, error_estimate, truncation_radius) of fock_norm
-# through the engine's rare branches: a graded cusp (p m = 5 at z = 0.5), the
-# restart in units of the peak (|0.6 z|^1000 e^{-500|z|^2}, fock_norm's
-# rescaled 0.3 z, peaks at e^{-1011}) and an angular escalation to mult 8
-# (the four-term image that the large-to-small check of ``verify --seed 0``
-# integrates at q = 1)
+# (symbol, p, spec, value, error_estimate, truncation_radius, before) of
+# fock_norm through the engine's rare branches: a graded cusp (p m = 5 at
+# z = 0.5), the restart in units of the peak (|0.6 z|^1000 e^{-500|z|^2},
+# fock_norm's rescaled 0.3 z, peaks at e^{-1011}) and an angular escalation
+# to mult 8 (the four-term image that the large-to-small check of ``verify
+# --seed 0`` integrates at q = 1).  ``before`` holds the pins that the
+# embedded radial estimate replaced, whose estimates cover the move; the
+# escalation's old pin missed the value by 5.7 times its estimate, so it
+# answers to the DEFAULT_SPEC reference instead
 _C12_IMAGE = sy.EntireFunction((
     sy.PolyExpTerm(((-0.6482800225115843-2.6627019326434094j), (0.38861156517791984+0.2334763978568548j),
                     (-0.6639707438924685-1.7022320438106773j), (-0.03184113053551073-0.2963654734500015j)),
@@ -226,17 +247,23 @@ _C12_IMAGE = sy.EntireFunction((
 ))
 _RARE_BRANCHES = [
     (parse_symbol("(z-0.5)^2*exp((0.2-0.1i)*z)"), 2.5, DEFAULT_SPEC,
-     1.4851109344590885, 1.9087732382757165e-12, 8.0),
-    (parse_symbol("0.3*z"), 1000.0, DEFAULT_SPEC, 0.18269331705147165, 7.141268155795434e-16, 4.0),
-    (_C12_IMAGE, 1.0, CHECK_SPEC, 7.811961486325929, 5.191352367186881e-07, 16.0),
+     1.4851109344590885, 1.9230146381140687e-12, 8.0, (1.4851109344590885, 1.9087732382757165e-12)),
+    (parse_symbol("0.3*z"), 1000.0, DEFAULT_SPEC, 0.18269331705147165, 4.818465051302522e-17, 4.0,
+     (0.18269331705147165, 7.141268155795434e-16)),
+    (_C12_IMAGE, 1.0, CHECK_SPEC, 7.8119585395816, 2.7479719417271477e-07, 14.0, None),
 ]
+# (value, error_estimate) of _C12_IMAGE at p = 1 and DEFAULT_SPEC, with the
+# halves-based radial estimate
+_C12_REFERENCE = (7.811958502841083, 1.3529768224529308e-08)
 
 
-@pytest.mark.parametrize("f, p, spec, value, estimate, radius", _RARE_BRANCHES,
+@pytest.mark.parametrize("f, p, spec, value, estimate, radius, before", _RARE_BRANCHES,
                          ids=["graded-cusp", "peak-shift", "angular-mult-8"])
-def test_rare_engine_branches_keep_their_arithmetic(f, p, spec, value, estimate, radius):
+def test_rare_engine_branches_keep_their_arithmetic(f, p, spec, value, estimate, radius, before):
     got = fock_norm(f, p, spec)
     assert (got.value, got.error_estimate, got.truncation_radius) == (value, estimate, radius)
+    before_value, before_estimate = before or _C12_REFERENCE
+    assert abs(value - before_value) <= before_estimate + (0.0 if before else estimate)
 
 
 def test_ungraded_plane_norm_keeps_its_arithmetic():
