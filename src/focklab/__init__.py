@@ -24,7 +24,6 @@ from .symbols import (
 )
 from .quadrature import (
     IntegralResult,
-    PolarIntegrand,
     QuadratureSpec,
     gaussian_integral,
 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import HypothesisViolated
@@ -22,8 +23,10 @@ class RunConfig:
     def __post_init__(self):
         if not 8 <= self.matrix_order <= MAX_MATRIX_ORDER:
             raise HypothesisViolated(f"matrix_order must lie in [8, {MAX_MATRIX_ORDER}]")
-        if self.grid_radius <= 0:
-            raise HypothesisViolated("grid_radius must be positive")
+        if not 0 < self.grid_radius < math.inf:
+            raise HypothesisViolated("grid_radius must be positive and finite")
+        if self.seed < 0:
+            raise HypothesisViolated("seed must be nonnegative")
 
 
 def max_workers() -> int:

@@ -28,7 +28,6 @@ constant e^2 (1+|z|), and the inclusion constant (q/p)^{1/q} between spaces.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,14 +36,7 @@ import numpy as np
 
 from . import symbols
 from .errors import BoundViolated, NumericFailure
-from .quadrature import (
-    _LOG_RANGE,
-    DEFAULT_SPEC,
-    PolarIntegrand,
-    QuadratureSpec,
-    gaussian_integral,
-    polar_grid,
-)
+from .quadrature import _LOG_RANGE, DEFAULT_SPEC, QuadratureSpec, gaussian_integral, polar_grid
 from .symbols import EntireFunction, validate_fock_index
 
 
@@ -56,8 +48,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 # the bound's own arithmetic adds and multiplies nonnegative numbers, so it
 # errs relatively, by far less than this margin, at the sizes the cap admits
 _BOUND_MARGIN = 1.0 + 1e-9
-# |z - z0|^e with e above this is left to the uniform angular rule
-_CUSP_MAX_ORDER = 20.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -85,36 +75,6 @@ class NormValue:
     def upper(self) -> float:
         """The certified upper side, value + error_estimate."""
         return self.value + self.error_estimate
-
-
-def cusp_points(f: EntireFunction, power: float, radius: float) -> tuple[complex, ...]:
-    """The zeros z0 != 0 of f in |z| < radius at which |f|^power needs a graded
-    angular rule; none where the zeros of f cannot be certified.
-
-    An m-fold zero makes |f|^power behave like |z - z0|^{power m}, smooth
-    when power m is an even integer; past _CUSP_MAX_ORDER the uniform rule's
-    error at its 64-node minimum, 64^-(power m + 2), is below 2^-52 anyway.
-    At the origin the cusp r^{power m} does not depend on the angle.
-    """
-    if power % 2.0 == 0.0 or power >= _CUSP_MAX_ORDER:  # so is power m, for every m
-        return ()
-    zeros = symbols.zeros(f, radius) or ()
-    return tuple(z for z, m in zeros
-                 if z != 0 and (power * m) % 2.0 != 0.0 and power * m < _CUSP_MAX_ORDER)
-
-
-def magnitude_power_integrand(f: EntireFunction, power: float) -> PolarIntegrand:
-    """|f|^power as a quadrature integrand with envelope, oscillation and cusp metadata."""
-    amp, degree, rate = symbols.envelope_majorant(f)
-    return PolarIntegrand(
-        log_magnitude=lambda zs: power * symbols.log_abs_grid(f, zs),
-        amplitude=amp**power if amp > 0 else 0.0,
-        degree=degree * power,
-        rate=rate * power,
-        angular_degree=power * degree,
-        angular_rate=power * rate,
-        cusps=functools.partial(cusp_points, f, power),
-    )
 
 
 def exp_matrix(rate: complex, rows: int, cols: int) -> np.ndarray:
@@ -271,7 +231,7 @@ def _scaled_norm_power(f: EntireFunction, p: float,
         exact = _gram_power(f, int(p) // 2, spec)
         if exact is not None:
             return exact, 0.0
-    res = gaussian_integral(magnitude_power_integrand(f, p), p, spec)
+    res = gaussian_integral(f, p, p, spec)
     return NormValue(res.value, res.error_estimate, res.truncation_radius), res.log_scale
 
 
@@ -340,9 +300,10 @@ def sup_norm(f: EntireFunction) -> NormValue:
 
 
 def kernel(w: complex) -> EntireFunction:
-    """The unit-norm kernel function exp(conj(w) z - |w|^2 / 2)."""
+    """The unit-norm kernel function exp(conj(w) z - |w|^2 / 2); the zero
+    function where exp(-|w|^2 / 2) underflows, past |w| = 38.6."""
     w = complex(w)
-    return symbols.exp_term(w.conjugate(), math.exp(-abs(w) ** 2 / 2.0))
+    return symbols.exp_term(w.conjugate(), math.exp(-symbols.square(abs(w)) / 2.0))
 
 
 def log_gauge_grid(psi: EntireFunction, phi: symbols.AffineMap, zs) -> np.ndarray:

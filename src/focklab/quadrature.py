@@ -1,11 +1,11 @@
-"""Adaptive integration of Gaussian-weighted nonnegative integrands over the plane.
+"""Adaptive Gaussian-weighted integration of |f|^p over the plane.
 
-The engine computes (s / 2 pi) * integral of g(z) exp(-s|z|^2 / 2) dA(z) in
-polar coordinates: composite Gauss-Legendre panels in the radius, an
-equispaced periodic rule in the angle.  Integrands are supplied in log form
-(so |f|^p for huge |z| never overflows) together with an analytic growth
-envelope g(z) <= A (1 + r)^d exp(K r), r = |z|, which yields a rigorous
-truncation-tail bound by completing the square.
+The engine computes (s / 2 pi) * integral of |f(z)|^power exp(-s|z|^2 / 2)
+dA(z) for a symbol f in polar coordinates: composite Gauss-Legendre panels
+in the radius, an equispaced periodic rule in the angle.  It evaluates
+power * log|f| (so |f|^p for huge |z| never overflows), and the symbol's
+growth envelope |f(z)| <= A (1 + r)^d exp(K r), r = |z|, raised to the
+power yields a rigorous truncation-tail bound by completing the square.
 
 ``_integrate`` is the engine's one loop.  It takes the smallest radius
 2, 4, 6, ... (at most max_radius) whose tail bound is below abs_tol / 2 and
@@ -27,24 +27,24 @@ Angular node counts follow the oscillation bound of |exp(cz)|^p on |z| = r,
 whose scale is p|c|r.  The equispaced rule is spectrally accurate only for
 smooth integrands; at a zero z0 of f, |f|^p has the algebraic cusp
 |z - z0|^{pm} (m the multiplicity), where it converges only algebraically
-and its nested coarse/fine estimate falls short of the error.  So an
-integrand names its cusps (``PolarIntegrand.cusps``): every radial panel
-then cuts its circle at the cusp angles and integrates each arc with a
-trapezoid rule after a sin^4 substitution (Sidi 1993) that grades the
-nodes toward both ends, and every cusp modulus is a radial panel edge.  The
-coarse/fine estimate is then honest again.
+and its nested coarse/fine estimate falls short of the error.  So the engine
+finds those zeros (``_cusp_points``): every radial panel then cuts its
+circle at the cusp angles and integrates each arc with a trapezoid rule
+after a sin^4 substitution (Sidi 1993) that grades the nodes toward both
+ends, and every cusp modulus is a radial panel edge.  The coarse/fine
+estimate is then honest again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
+from . import symbols
 from .errors import Inadmissible, ToleranceNotMet
-from .symbols import square
+from .symbols import EntireFunction
 
 _MAX_SPLITS = 4000
 _MAX_DEPTH = 48
@@ -62,6 +62,8 @@ _NODES, _WEIGHTS = (np.concatenate(pair) for pair in zip(np.polynomial.legendre.
                                                          np.polynomial.legendre.leggauss(16)))
 # exp(x) underflows to zero below this x, which then bears no rounding error
 _LOG_UNDERFLOW = -746.0
+# |z - z0|^e with e above this is left to the uniform angular rule
+_CUSP_MAX_ORDER = 20.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class IntegralResult:
     """An integral and its error estimate, both in units of exp(log_scale).
 
     ``log_scale`` is 0 unless the integrand peaks beyond exp(+-_LOG_RANGE),
-    where the engine integrates g / exp(peak) instead and the spec's
+    where the engine integrates |f|^power / exp(peak) instead and the spec's
     ``abs_tol`` applies to that.
     """
 
@@ -104,60 +106,57 @@ class IntegralResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
-@dataclass(frozen=True)
-class PolarIntegrand:
-    """Nonnegative integrand g given through log g, with growth metadata.
-
-    g(z) <= amplitude (1 + r)^degree exp(rate r) on |z| = r.
-    ``angular_degree`` and ``angular_rate`` bound the angular oscillation of g
-    on |z| = r by degree + rate * r (callers fold any power p into both).
-    ``cusps`` maps a truncation radius to the points off the origin inside it
-    where g has an algebraic cusp (|z - z0|^e, e not an even integer) that
-    the periodic angular rule would resolve only slowly.
-    """
-
-    log_magnitude: Callable[[np.ndarray], np.ndarray]
-    amplitude: float
-    degree: float = 0.0
-    rate: float = 0.0
-    angular_degree: float = 0.0
-    angular_rate: float = 0.0
-    cusps: Callable[[float], Sequence[complex]] | None = None
-
-
-def _tail_bound(g: PolarIntegrand, s: float, radius: float, shift: float) -> float:
-    """Rigorous bound on the dA-integral of g e^{-s|z|^2/2 - shift} beyond radius.
+def _tail_bound(envelope: tuple[float, float, float], s: float, radius: float,
+                shift: float) -> float:
+    """Rigorous bound on the dA-integral of |f|^power e^{-s|z|^2/2 - shift}
+    beyond radius, where envelope = (A, d, K) bounds |f|^power by
+    A (1 + r)^d e^{K r} on |z| = r.
 
     Completing the square in K r - beta r^2 (beta = s/2) gives
        2 pi * (2 A / beta) e^{K^2/(2 beta)} (1+R)^d e^{-beta R^2 / 2},
     valid once (1+r)^d r e^{-beta r^2 / 4} decreases beyond the radius;
     before that the bound is inf.
     """
+    amplitude, degree, rate = envelope
     beta = s / 2.0
-    if g.amplitude == 0.0:  # a p-th power that underflowed bounds no tail
+    if amplitude == 0.0:  # a p-th power that underflowed bounds no tail
         return 0.0
-    if g.degree / (1.0 + radius) + 1.0 / radius > beta * radius / 2.0:
+    if degree / (1.0 + radius) + 1.0 / radius > beta * radius / 2.0:
         return math.inf
     log_term = (
-        math.log(2.0 * g.amplitude / beta)
-        + square(g.rate) / (2.0 * beta)
-        + g.degree * math.log1p(radius)
+        math.log(2.0 * amplitude / beta)
+        + symbols.square(rate) / (2.0 * beta)
+        + degree * math.log1p(radius)
         - beta * radius**2 / 2.0
     )
     return 2.0 * math.pi * math.exp(min(log_term - shift, 700.0))
 
 
-def _angular_count(integrand: PolarIntegrand, r: float, mult: int) -> int:
-    # the periodic rule aliases frequencies >= n; the integrand's angular
-    # spectrum dies superexponentially past degree + rate * r, so a factor of
-    # three plus margin suffices a priori, with the nested coarse/fine
-    # estimate escalating ``mult`` in the rare non-smooth cases
-    n = max(
-        _ANGULAR_MIN_NODES,
-        int(math.ceil(8.0 * integrand.angular_degree + 3.0 * integrand.angular_rate * r)) + 16,
-    )
+def _angular_count(envelope: tuple[float, float, float], r: float, mult: int) -> int:
+    # the periodic rule aliases frequencies >= n; the angular spectrum of
+    # |f|^power dies superexponentially past power (degree + rate * r), so a
+    # factor of three plus margin suffices a priori, with the nested
+    # coarse/fine estimate escalating ``mult`` in the rare non-smooth cases
+    _, degree, rate = envelope
+    n = max(_ANGULAR_MIN_NODES, int(math.ceil(8.0 * degree + 3.0 * rate * r)) + 16)
     n = min(n * mult, _ANGULAR_CAP)
     return n + (n % 2)
+
+
+def _cusp_points(f: EntireFunction, power: float, radius: float) -> tuple[complex, ...]:
+    """The zeros z0 != 0 of f in |z| < radius at which |f|^power needs a graded
+    angular rule; none where the zeros of f cannot be certified.
+
+    An m-fold zero makes |f|^power behave like |z - z0|^{power m}, smooth
+    when power m is an even integer; past _CUSP_MAX_ORDER the uniform rule's
+    error at its 64-node minimum, 64^-(power m + 2), is below 2^-52 anyway.
+    At the origin the cusp r^{power m} does not depend on the angle.
+    """
+    if power % 2.0 == 0.0 or power >= _CUSP_MAX_ORDER:  # so is power m, for every m
+        return ()
+    zeros = symbols.zeros(f, radius) or ()
+    return tuple(z for z, m in zeros
+                 if z != 0 and (power * m) % 2.0 != 0.0 and power * m < _CUSP_MAX_ORDER)
 
 
 def _graded_arcs(angles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,9 +186,11 @@ def _graded_arcs(angles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 class _RadialIntegrator:
-    def __init__(self, integrand: PolarIntegrand, s: float, mult: int,
-                 cusp_angles: np.ndarray, shift: float):
-        self.integrand = integrand
+    def __init__(self, f: EntireFunction, power: float, envelope: tuple[float, float, float],
+                 s: float, mult: int, cusp_angles: np.ndarray, shift: float):
+        self.f = f
+        self.power = power
+        self.envelope = envelope
         self.s = s
         self.mult = mult
         self.cusp_angles = cusp_angles
@@ -208,7 +209,7 @@ class _RadialIntegrator:
         numbers near a thousand)."""
         half = 0.5 * (r1 - r0)
         r = r0 + half * (_NODES + 1.0)
-        n = _angular_count(self.integrand, r1, self.mult)
+        n = _angular_count(self.envelope, r1, self.mult)
         if n not in self._rules:
             if self.cusp_angles.size:
                 theta, fine_w, coarse_w = _graded_arcs(self.cusp_angles, n)
@@ -217,7 +218,7 @@ class _RadialIntegrator:
             self._rules[n] = np.exp(1j * theta), fine_w, coarse_w
         phase, fine_w, coarse_w = self._rules[n]
         zs = r[:, None] * phase[None, :]
-        logs = self.integrand.log_magnitude(zs) - (self.s * r * r / 2.0)[:, None]
+        logs = self.power * symbols.log_abs_grid(self.f, zs) - (self.s * r * r / 2.0)[:, None]
         top, bottom = float(logs.max()), float(logs.min())
         # an overflow (inf, or inf - inf) fails the accept tests downstream
         with np.errstate(over="ignore", invalid="ignore"):
@@ -266,24 +267,26 @@ def _adaptive_radial(engine: _RadialIntegrator, stack: list, radius: float,
     return value, radial_err, ang_err, exhausted
 
 
-def _integrate(integrand: PolarIntegrand, s: float, prefactor: float,
+def _integrate(f: EntireFunction, power: float, s: float, prefactor: float,
                spec: QuadratureSpec) -> IntegralResult:
+    amp, degree, rate = symbols.envelope_majorant(f)
+    envelope = (amp**power if amp > 0 else 0.0, degree * power, rate * power)
     shift, mult, budget = 0.0, 1, None
     while True:
         if budget is None:  # the first pass, unshifted or restarted in units of the peak
             radius = 2.0  # the smallest of 2, 4, 6, ... whose tail is below abs_tol / 2
-            while not (tail := prefactor * _tail_bound(integrand, s, radius, shift)) <= spec.abs_tol / 2:
+            while not (tail := prefactor * _tail_bound(envelope, s, radius, shift)) <= spec.abs_tol / 2:
                 if radius >= spec.max_radius:
                     raise ToleranceNotMet(
                         f"tail bound not below {spec.abs_tol / 2:g} at max radius {spec.max_radius}"
                     )
                 radius = min(radius + 2.0, spec.max_radius)
-            cusps = tuple(integrand.cusps(radius)) if integrand.cusps else ()
+            cusps = _cusp_points(f, power, radius)
             angles = np.unique(np.mod(np.angle(cusps), 2.0 * np.pi)) if cusps else np.empty(0)
             edges = np.linspace(0.0, radius, max(4, min(48, int(math.ceil(radius / 2.0)))) + 1)
             if cusps:
                 edges = np.unique(np.concatenate((edges, np.abs(cusps))))
-        engine = _RadialIntegrator(integrand, s, mult, angles, shift)
+        engine = _RadialIntegrator(f, power, envelope, s, mult, angles, shift)
         stack = [(r0, r1, engine.panel(r0, r1), 0) for r0, r1 in zip(edges[:-1], edges[1:])]
         if budget is None:
             peak = max(panel[4] for _, _, panel, _ in stack)
@@ -317,17 +320,19 @@ def _integrate(integrand: PolarIntegrand, s: float, prefactor: float,
     return IntegralResult(value, error, radius, shift)
 
 
-def gaussian_integral(integrand: PolarIntegrand, s: float,
+def gaussian_integral(f: EntireFunction, power: float, s: float,
                       spec: QuadratureSpec | None = None) -> IntegralResult:
-    """(s / 2 pi) * integral of g(z) exp(-s |z|^2 / 2) dA(z) for g >= 0.
+    """(s / 2 pi) * integral of |f(z)|^power exp(-s |z|^2 / 2) dA(z).
 
-    With g identically 1 the result is 1 for every s > 0 (the weight is a
-    probability measure), which anchors the engine's normalization.
+    ||f||_p^p is the case power = s = p.  For f = 1 the result is 1 for
+    every s > 0 (the weight is a probability measure), which anchors the
+    engine's normalization; for f = z^n and power 2 it is the Gaussian
+    moment (2 / s)^n n!.
     """
     if s <= 0 or not math.isfinite(s):
         raise ValueError("weight exponent s must be positive and finite")
     spec = spec or DEFAULT_SPEC
-    return _integrate(integrand, s, s / (2.0 * math.pi), spec)
+    return _integrate(f, power, s, s / (2.0 * math.pi), spec)
 
 
 def polar_grid(radius: float, n_radii: int, n_angles: int,

@@ -46,12 +46,7 @@ from .operators import (
     f2_matrix,
     matrix_sigma_max,
 )
-from .quadrature import (
-    CHECK_SPEC,
-    PolarIntegrand,
-    gaussian_integral,
-    polar_grid,
-)
+from .quadrature import CHECK_SPEC, gaussian_integral, polar_grid
 from .sampling import (
     random_affine,
     random_bounded_operator,
@@ -93,14 +88,6 @@ def check_kernel_normalization(rng: np.random.Generator, fast: bool = False) -> 
     return _result("kernel-normalization", worst < 1e-8, f"max |norm - 1| = {worst:.3e}")
 
 
-def _moment_integrand(n: int) -> PolarIntegrand:
-    return PolarIntegrand(
-        log_magnitude=lambda zs: 2.0 * n * np.log(np.abs(zs)) if n else np.zeros(zs.shape),
-        amplitude=1.0,
-        degree=2.0 * n,
-    )
-
-
 def check_monomial_oracle(rng: np.random.Generator, fast: bool = False) -> CheckResult:
     """Monomial norms and Gaussian moments against the Gamma-integral oracle."""
     worst_norm = 0.0
@@ -112,7 +99,7 @@ def check_monomial_oracle(rng: np.random.Generator, fast: bool = False) -> Check
     for p in (0.5, 1.0, 2.0, 4.0):
         for n in range(13):
             exact = (2.0 / p) ** n * math.factorial(n)
-            got = gaussian_integral(_moment_integrand(n), p).value
+            got = gaussian_integral(symbols.monomial(n), 2.0, p).value
             worst_moment = max(worst_moment, abs(got - exact) / exact)
     passed = worst_norm < 1e-8 and worst_moment < 1e-9
     return _result(

@@ -23,7 +23,7 @@ from focklab import symbols as sy
 from focklab.cli import main
 from focklab.config import RunConfig
 from focklab.errors import FocklabError
-from focklab.fock import fock_norm, magnitude_power_integrand
+from focklab.fock import fock_norm
 from focklab.parsing import parse_symbol
 from focklab.quadrature import _LOG_RANGE, QuadratureSpec, gaussian_integral
 from focklab.report import Report, ereal, run
@@ -161,6 +161,27 @@ def test_cli_exit_codes(capsys):
     assert main(["profile-m", "--psi", "1", "--phi", "0.5,1e200", "--radii", "2,4"]) == 0
     rows = strict_json(capsys.readouterr().out)["results"]["rows"]
     assert rows == [[2.0, ereal(math.inf)], [4.0, ereal(math.inf)]]
+
+    # a run setting out of its range exits 2 with one line and no warning
+    operator = ["--psi", "1", "--phi", "0.5,0", "--p", "3", "--q", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv, message in (
+            (["classify", *operator, "--grid-radius", "inf"], "grid_radius must be positive and finite"),
+            (["classify", *operator, "--grid-radius", "nan"], "grid_radius must be positive and finite"),
+            (["verify", "--fast", "--seed", "-1"], "seed must be nonnegative"),
+        ):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        # a kernel whose |w|^2 leaves the float range is the zero function,
+        # as every kernel past |w| = 38.6 already is
+        lower = []
+        for radius in ("50", "1e300"):
+            assert main(["opnorm", *operator, "--grid-radius", radius]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            lower.append(strict_json(out)["results"]["empirical_lower"])
+        assert lower[0] == lower[1]
 
 
 def _run_cli_process(argv: list[str]) -> subprocess.CompletedProcess:
@@ -450,7 +471,7 @@ def _engine_norm(f, p: float) -> tuple[float, float]:
     """The quadrature engine alone, inside fock_norm's amplitude scaling."""
     amp = sy.envelope_majorant(f)[0]
     exponent = max(math.ceil(math.log2(amp)), -1023) if abs(p * math.log(amp)) > _LOG_RANGE else 0
-    res = gaussian_integral(magnitude_power_integrand(sy.scale(f, 2.0**-exponent), p), p)
+    res = gaussian_integral(sy.scale(f, 2.0**-exponent), p, p)
     value = res.value ** (1.0 / p)
     return math.ldexp(value, exponent), math.ldexp(value * res.error_estimate / (p * res.value), exponent)
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from focklab import symbols as sy
-from focklab.fock import _gram_power, fock_norm, kernel, magnitude_power_integrand, norm_power
+from focklab.fock import _gram_power, fock_norm, kernel, norm_power
 from focklab.operators import _basis_coefficients
 from focklab.quadrature import CHECK_SPEC, DEFAULT_SPEC, gaussian_integral
 from focklab.sampling import random_entire_function
@@ -34,7 +34,7 @@ def test_hilbert_norm_matches_parseval(rng):
               for _ in range(8)]
     for f in cases:
         series = parseval_norm(f)
-        quad = math.sqrt(gaussian_integral(magnitude_power_integrand(f, 2.0), 2.0).value)
+        quad = math.sqrt(gaussian_integral(f, 2.0, 2.0).value)
         assert math.isclose(series, quad, rel_tol=1e-9)
 
 
@@ -115,7 +115,7 @@ def test_even_p_routes_agree(rng, p):
         assert gram is not None and gram.truncation_radius is None
         assert abs(gram.value - exact) <= gram.error_estimate
         assert norm_power(f, p) == gram
-        quad = gaussian_integral(magnitude_power_integrand(f, p), p)
+        quad = gaussian_integral(f, p, p)
         assert abs(gram.value - quad.value) <= gram.error_estimate + quad.error_estimate
         # Parseval on g = f^k(./sqrt k), expanded by the symbol algebra; its
         # sum in the monomial basis cancels, by 1e-8 relative on the

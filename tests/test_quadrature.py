@@ -1,6 +1,5 @@
 """Engine oracles: Gaussian moments, cusp closed forms, tail logic."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +8,11 @@ import pytest
 from focklab import quadrature, symbols as sy
 from focklab.errors import ToleranceNotMet
 from focklab.criteria import gauge_plane_norm
-from focklab.fock import fock_norm, kernel, magnitude_power_integrand
+from focklab.fock import fock_norm, kernel
 from focklab.parsing import parse_affine, parse_symbol
 from focklab.quadrature import (
     CHECK_SPEC,
     DEFAULT_SPEC,
-    PolarIntegrand,
     QuadratureSpec,
     gaussian_integral,
 )
@@ -24,75 +22,54 @@ from focklab.symbols import AffineMap
 ULP = 2.0**-52
 
 
-def moment_integrand(n: int) -> PolarIntegrand:
-    return PolarIntegrand(
-        log_magnitude=lambda zs: 2.0 * n * np.log(np.abs(zs)) if n else np.zeros(zs.shape),
-        amplitude=1.0,
-        degree=2.0 * n,
-    )
-
-
 def test_unit_integrand_is_normalized():
-    one = PolarIntegrand(lambda zs: np.zeros(zs.shape), 1.0)
     for s in (0.5, 1.0, 2.0, 3.7):
-        assert math.isclose(gaussian_integral(one, s).value, 1.0, rel_tol=1e-11)
+        assert math.isclose(gaussian_integral(sy.ONE, 2.0, s).value, 1.0, rel_tol=1e-11)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0])
 def test_gaussian_moments_match_gamma_oracle(p):
     for n in range(13):
         exact = (2.0 / p) ** n * math.factorial(n)
-        got = gaussian_integral(moment_integrand(n), p)
+        got = gaussian_integral(sy.monomial(n), 2.0, p)
         assert abs(got.value - exact) <= 1e-9 * exact
 
 
 def test_kernel_power_integral_is_one():
     w = 2 + 1j
     for p in (0.5, 2.0, 3.0):
-        integrand = magnitude_power_integrand(kernel(w), p)
-        assert math.isclose(gaussian_integral(integrand, p).value, 1.0, rel_tol=1e-10)
+        assert math.isclose(gaussian_integral(kernel(w), p, p).value, 1.0, rel_tol=1e-10)
 
 
 def test_refinement_shift_stays_within_error_estimate(rng):
     tight = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
-    cases = [magnitude_power_integrand(kernel(1 + 2j), 2.0),
-             moment_integrand(4)]
+    cases = [kernel(1 + 2j), sy.monomial(4)]
     for _ in range(18):
-        f = random_entire_function(rng, max_terms=2, max_degree=2, rate_radius=1.0)
-        cases.append(magnitude_power_integrand(f, 2.0))
-    for integrand in cases:
-        loose = gaussian_integral(integrand, 2.0)
-        refined = gaussian_integral(integrand, 2.0, tight)
+        cases.append(random_entire_function(rng, max_terms=2, max_degree=2, rate_radius=1.0))
+    for f in cases:
+        loose = gaussian_integral(f, 2.0, 2.0)
+        refined = gaussian_integral(f, 2.0, 2.0, tight)
         assert abs(loose.value - refined.value) <= max(loose.error_estimate, 1e-13 * abs(refined.value))
 
 
 def test_rotation_invariance(rng):
-    base = magnitude_power_integrand(kernel(2.0), 2.0)
-    reference = gaussian_integral(base, 2.0).value
+    base = kernel(2.0)
+    reference = gaussian_integral(base, 2.0, 2.0).value
     for theta in (0.7, 2.1):
-        twist = complex(math.cos(theta), math.sin(theta))
-        rotated = dataclasses.replace(
-            base, log_magnitude=lambda zs, t=twist: base.log_magnitude(t * zs), cusps=None
-        )
-        assert abs(gaussian_integral(rotated, 2.0).value - reference) < 1e-10
+        rotated = sy.compose_affine(base, AffineMap(complex(math.cos(theta), math.sin(theta))))
+        assert abs(gaussian_integral(rotated, 2.0, 2.0).value - reference) < 1e-10
 
 
 def test_tolerance_not_met_when_radius_cap_too_small():
-    integrand = PolarIntegrand(
-        log_magnitude=lambda zs: 30.0 * np.abs(zs),
-        amplitude=1.0,
-        rate=30.0,
-        angular_rate=30.0,
-    )
     with pytest.raises(ToleranceNotMet):
-        gaussian_integral(integrand, 1.0, QuadratureSpec(max_radius=8.0))
+        gaussian_integral(sy.exp_term(30.0), 1.0, 1.0, QuadratureSpec(max_radius=8.0))
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ValueError):
-        gaussian_integral(moment_integrand(0), -1.0)
+        gaussian_integral(sy.ONE, 2.0, -1.0)
 
 
 def test_no_panel_is_evaluated_twice(monkeypatch):
@@ -107,11 +84,10 @@ def test_no_panel_is_evaluated_twice(monkeypatch):
         return panel(self, r0, r1)
 
     monkeypatch.setattr(quadrature._RadialIntegrator, "panel", recording_panel)
-    integrand = magnitude_power_integrand(parse_symbol("z^2*exp(0.5*z) + 3*z"), 2.0)
-    assert gaussian_integral(integrand, 2.0).truncation_radius == 10.0
+    assert gaussian_integral(parse_symbol("z^2*exp(0.5*z) + 3*z"), 2.0, 2.0).truncation_radius == 10.0
     assert seen == [(2.0 * k, 2.0 * k + 2.0) for k in range(5)]
     seen.clear()
-    gaussian_integral(magnitude_power_integrand(parse_symbol("z"), 0.5), 0.5)
+    gaussian_integral(parse_symbol("z"), 0.5, 0.5)
     assert len(seen) > 8 and len(seen) == len(set(seen))
 
 
@@ -120,7 +96,7 @@ def test_tight_spec_norm_meets_its_tolerance():
     # split test), which a tolerance of 1e-12 relative leaves little room
     f = parse_symbol("(1+2i)*z^2*exp((0.5-1i)*z)+3")
     spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
-    power = gaussian_integral(magnitude_power_integrand(f, 1.5), 1.5, spec)
+    power = gaussian_integral(f, 1.5, 1.5, spec)
     assert power.error_estimate <= max(spec.abs_tol, spec.rel_tol * power.value)
     # the norm at this spec when each panel's halves gave its estimate
     norm = fock_norm(f, 1.5, spec)
@@ -215,7 +191,7 @@ def test_ungraded_integrands_keep_their_arithmetic(kind, text, p, value, estimat
     if kind == "fock":
         got = fock_norm(f, p)
     else:
-        got = gaussian_integral(magnitude_power_integrand(f, p), p)
+        got = gaussian_integral(f, p, p)
     assert (got.value, got.error_estimate) == (value, estimate)
     before_value, before_estimate = before
     assert abs(value - before_value) <= before_estimate
