@@ -25,8 +25,10 @@ from focklab.fock import fock_norm
 from focklab.parsing import parse_symbol
 
 # (n, p, number of random a): the sweeps that found short estimates before
-# the engine graded its angular rule at the zeros of f
-CLASSES = ((2, 1.5, 300), (1, 1.5, 50), (1, 2.5, 50))
+# the engine graded its angular rule at the zeros of f, then two of order
+# n p past the graded range, short before every such zero was a radial
+# panel edge
+CLASSES = ((2, 1.5, 300), (1, 1.5, 50), (1, 2.5, 50), (3, 2.5, 3000), (2, 3.5, 3000))
 
 
 def weyl_text(a: complex, n: int) -> str:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import symbols
 from .errors import BoundViolated, NumericFailure
-from .quadrature import _LOG_RANGE, DEFAULT_SPEC, QuadratureSpec, gaussian_integral, polar_grid
+from .quadrature import DEFAULT_SPEC, QuadratureSpec, gaussian_integral, polar_grid
 from .symbols import EntireFunction, validate_fock_index
 
 
@@ -254,11 +254,11 @@ def fock_norm(f: EntireFunction, p: float,
     amp, _, _ = symbols.envelope_majorant(f)
     if not math.isfinite(amp):
         raise NumericFailure("the symbol's coefficient sum exceeds the float range")
-    # the norm is homogeneous: an amplitude whose p-th power lies beyond
-    # e^{+-_LOG_RANGE}, the range the quadrature takes unscaled, is divided
-    # out by 2^exponent >= amp (at most 2^-1023, the smallest power whose
-    # reciprocal is a float) and multiplied back at the end
-    exponent = max(math.ceil(math.log2(amp)), -1023) if abs(p * math.log(amp)) > _LOG_RANGE else 0
+    # the norm is homogeneous: so that the Gram sum neither overflows nor
+    # underflows, 2^ceil(log2 amp) (at least 2^-1023, whose reciprocal is a
+    # float) is divided out exactly and multiplied back at the end
+    mantissa, exponent = math.frexp(amp)
+    exponent = max(exponent - (mantissa == 0.5), -1023)
     if exponent:
         f = symbols.scale(f, math.ldexp(1.0, -exponent))
     res, log_scale = _scaled_norm_power(f, p, spec)

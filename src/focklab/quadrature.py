@@ -7,20 +7,21 @@ power * log|f| (so |f|^p for huge |z| never overflows), and the symbol's
 growth envelope |f(z)| <= A (1 + r)^d exp(K r), r = |z|, raised to the
 power yields a rigorous truncation-tail bound by completing the square.
 
-``_integrate`` is the engine's one loop.  It takes the smallest radius
-2, 4, 6, ... (at most max_radius) whose tail bound is below abs_tol / 2 and
-runs a radial pass over at least four base panels of width at most 2.  Each
-panel is evaluated once, at the radii of the 32- and the 16-node
-Gauss-Legendre rules (they share none): it keeps the 32-node value, and the
-gap between the two is its radial error estimate, an embedded pair in the
-manner of Kronrod (1965) and QUADPACK.  Only a panel whose gap misses its
-share of the tolerance is bisected (``_adaptive_radial``).  The first pass's
-base panels fix that tolerance: its relative part from their sum, its
-absolute part in units of their peak where the peak is below 1.  While the
-angular estimate misses a quarter of the tolerance, the node counts of every
-panel double (``mult``) and the pass reruns.  An integrand that peaks beyond
-exp(+-_LOG_RANGE) on the first pass's base panels (|f|^p at p = 1000, say)
-restarts once in units of that peak, which ``IntegralResult.log_scale``
+``_integrate`` is the engine's one loop.  It first fixes its unit e^U, the
+largest value of the weighted integrand at the origin and on the circle
+where its envelope peaks; the spec's ``abs_tol`` is in units of e^U.  It
+takes the smallest radius 2, 4, 6, ... (at most max_radius) whose tail
+bound is below abs_tol / 8 and runs a radial pass over at least four base
+panels of width at most 2.  Each panel is evaluated once, at the radii of
+the 32- and the 16-node Gauss-Legendre rules (they share none): it keeps
+the 32-node value, and the gap between the two is its radial error
+estimate, an embedded pair in the manner of Kronrod (1965) and QUADPACK.
+Only a panel whose gap misses its share of the tolerance is bisected
+(``_adaptive_radial``); the relative part of that tolerance comes from the
+sum of the first pass's base panels.  While the angular estimate misses a
+quarter of the tolerance, the node counts of every panel double (``mult``)
+and the pass reruns.  Where U lies beyond +-_LOG_RANGE (|f|^p at p = 1000,
+say) the values are in units of e^U, which ``IntegralResult.log_scale``
 carries back to the caller.
 
 Angular node counts follow the oscillation bound of |exp(cz)|^p on |z| = r,
@@ -55,7 +56,7 @@ _ANGULAR_MIN_NODES = 64
 # arc's share of the equispaced count
 _ARC_MIN_NODES = 32
 _ARC_SHARE = 2.0
-# an integrand peaking beyond exp(+-_LOG_RANGE) is integrated in units of its peak
+# an integrand peaking beyond exp(+-_LOG_RANGE) has its values in units of its peak
 _LOG_RANGE = 600.0
 # the radial rules of a panel on [-1, 1]: 32 Gauss-Legendre nodes, then 16
 _NODES, _WEIGHTS = (np.concatenate(pair) for pair in zip(np.polynomial.legendre.leggauss(32),
@@ -92,8 +93,7 @@ class IntegralResult:
     """An integral and its error estimate, both in units of exp(log_scale).
 
     ``log_scale`` is 0 unless the integrand peaks beyond exp(+-_LOG_RANGE),
-    where the engine integrates |f|^power / exp(peak) instead and the spec's
-    ``abs_tol`` applies to that.
+    where the engine integrates |f|^power / exp(peak) instead.
     """
 
     value: float
@@ -106,30 +106,34 @@ class IntegralResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
-def _tail_bound(envelope: tuple[float, float, float], s: float, radius: float,
-                shift: float) -> float:
-    """Rigorous bound on the dA-integral of |f|^power e^{-s|z|^2/2 - shift}
-    beyond radius, where envelope = (A, d, K) bounds |f|^power by
+def _log_unit(f: EntireFunction, power: float, s: float, envelope: tuple[float, float, float]) -> float:
+    """U, the largest log of |f|^power e^{-s|z|^2/2} at the origin and at 64
+    points on the circle where the envelope (log A, d, K) peaks, whose radius
+    r solves d / (1 + r) + K = s r; inf or nan where that overflows."""
+    _, degree, rate = envelope
+    r = (rate - s + math.hypot(s + rate, 2.0 * math.sqrt(s * degree))) / (2.0 * s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zs = np.append(0j, r * np.exp(2j * np.pi * np.arange(64) / 64))
+        return float(np.max(power * symbols.log_abs_grid(f, zs) - s * np.abs(zs) ** 2 / 2.0))
+
+
+def _log_tail(envelope: tuple[float, float, float], s: float, radius: float) -> float:
+    """Log of a rigorous bound on the dA-integral of |f|^power e^{-s|z|^2/2}
+    beyond radius, where envelope = (log A, d, K) bounds |f|^power by
     A (1 + r)^d e^{K r} on |z| = r.
 
-    Completing the square in K r - beta r^2 (beta = s/2) gives
-       2 pi * (2 A / beta) e^{K^2/(2 beta)} (1+R)^d e^{-beta R^2 / 2},
-    valid once (1+r)^d r e^{-beta r^2 / 4} decreases beyond the radius;
-    before that the bound is inf.
+    In polar coordinates the tail is the integral of 2 pi e^{h(r)} past R,
+    with h(r) = log A + d log(1 + r) + log r + K r - s r^2 / 2 concave, so h
+    stays below its tangent at R: the tail is at most 2 pi e^{h(R)} / gamma,
+    gamma = -h'(R) = s R - K - d / (1 + R) - 1 / R.  Where gamma <= 0 the
+    bound is inf.
     """
-    amplitude, degree, rate = envelope
-    beta = s / 2.0
-    if amplitude == 0.0:  # a p-th power that underflowed bounds no tail
-        return 0.0
-    if degree / (1.0 + radius) + 1.0 / radius > beta * radius / 2.0:
+    log_amp, degree, rate = envelope
+    gamma = s * radius - rate - degree / (1.0 + radius) - 1.0 / radius
+    if not gamma > 0.0:
         return math.inf
-    log_term = (
-        math.log(2.0 * amplitude / beta)
-        + symbols.square(rate) / (2.0 * beta)
-        + degree * math.log1p(radius)
-        - beta * radius**2 / 2.0
-    )
-    return 2.0 * math.pi * math.exp(min(log_term - shift, 700.0))
+    return (math.log(2.0 * math.pi / gamma) + log_amp + degree * math.log1p(radius)
+            + math.log(radius) + rate * radius - s * radius**2 / 2.0)
 
 
 def _angular_count(envelope: tuple[float, float, float], r: float, mult: int) -> int:
@@ -143,20 +147,20 @@ def _angular_count(envelope: tuple[float, float, float], r: float, mult: int) ->
     return n + (n % 2)
 
 
-def _cusp_points(f: EntireFunction, power: float, radius: float) -> tuple[complex, ...]:
-    """The zeros z0 != 0 of f in |z| < radius at which |f|^power needs a graded
-    angular rule; none where the zeros of f cannot be certified.
+def _cusp_points(f: EntireFunction, power: float, radius: float) -> tuple[tuple[complex, float], ...]:
+    """The zeros z0 != 0 of f in |z| < radius at which |f|^power is not
+    smooth, with their orders power m; none where they cannot be certified.
 
     An m-fold zero makes |f|^power behave like |z - z0|^{power m}, smooth
-    when power m is an even integer; past _CUSP_MAX_ORDER the uniform rule's
-    error at its 64-node minimum, 64^-(power m + 2), is below 2^-52 anyway.
-    At the origin the cusp r^{power m} does not depend on the angle.
+    when power m is an even integer.  Each other one is a radial panel edge;
+    past _CUSP_MAX_ORDER the uniform rule's angular error at its 64-node
+    minimum, 64^-(power m + 2), is below 2^-52, so only lower orders take a
+    graded rule.  At the origin the cusp r^{power m} has no angle.
     """
-    if power % 2.0 == 0.0 or power >= _CUSP_MAX_ORDER:  # so is power m, for every m
+    if power % 2.0 == 0.0:  # so is power m, for every m
         return ()
     zeros = symbols.zeros(f, radius) or ()
-    return tuple(z for z, m in zeros
-                 if z != 0 and (power * m) % 2.0 != 0.0 and power * m < _CUSP_MAX_ORDER)
+    return tuple((z, power * m) for z, m in zeros if z != 0 and (power * m) % 2.0 != 0.0)
 
 
 def _graded_arcs(angles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,10 +203,9 @@ class _RadialIntegrator:
         # the graded arcs' fine and coarse weights
         self._rules: dict[int, tuple[np.ndarray, np.ndarray | None, np.ndarray | None]] = {}
 
-    def panel(self, r0: float, r1: float) -> tuple[float, float, float, float, float]:
+    def panel(self, r0: float, r1: float) -> tuple[float, float, float, float]:
         """(value, radial error, angular error, rounding error) over [r0, r1],
-        each including dtheta, and the largest log of the weighted integrand
-        at the panel's nodes.  The radial error is the gap between the 32-
+        each including dtheta.  The radial error is the gap between the 32-
         and the 16-node rule; the rounding error takes |x| + 64 ulps of the
         value, with |x| the largest |log| before any shift at a node that
         does not underflow (at p = 1000 the log of |f|^p is a difference of
@@ -235,7 +238,7 @@ class _RadialIntegrator:
             least = self.shift + _LOG_UNDERFLOW
             span = max(abs(max(top, least)), -max(bottom, least))
             rounding = abs(value) * (span + 64.0) * 2.0**-52
-        return value, radial_err, ang_err, rounding, top
+        return value, radial_err, ang_err, rounding
 
 
 def _adaptive_radial(engine: _RadialIntegrator, stack: list, radius: float,
@@ -252,7 +255,7 @@ def _adaptive_radial(engine: _RadialIntegrator, stack: list, radius: float,
     value = radial_err = ang_err = 0.0
     exhausted = False
     while stack:
-        r0, r1, (part, part_err, part_ang, rounding, _), depth = stack.pop()
+        r0, r1, (part, part_err, part_ang, rounding), depth = stack.pop()
         if part_err > budget * (r1 - r0) / radius:
             if depth < _MAX_DEPTH and evals < _MAX_SPLITS:
                 mid = 0.5 * (r0 + r1)
@@ -270,53 +273,49 @@ def _adaptive_radial(engine: _RadialIntegrator, stack: list, radius: float,
 def _integrate(f: EntireFunction, power: float, s: float, prefactor: float,
                spec: QuadratureSpec) -> IntegralResult:
     amp, degree, rate = symbols.envelope_majorant(f)
-    envelope = (amp**power if amp > 0 else 0.0, degree * power, rate * power)
-    shift, mult, budget = 0.0, 1, None
+    envelope = (power * math.log(amp) if amp > 0 else -math.inf, degree * power, rate * power)
+    unit = _log_unit(f, power, s, envelope)
+    if unit == -math.inf:  # f vanishes at every probe, as the zero function does: an absolute unit
+        unit = 0.0
+    if not math.isfinite(unit):
+        raise ToleranceNotMet(f"log of the integrand reaches {unit} at its envelope's peak")
+    shift = unit if abs(unit) > _LOG_RANGE else 0.0
+    # abs_tol is in units of e^unit, the values in units of e^shift
+    log_tol = math.log(spec.abs_tol) - math.log(8.0) + unit - shift
+    abs_tol = spec.abs_tol * math.exp(unit - shift)
+    radius = 2.0  # the smallest of 2, 4, 6, ... whose tail is below abs_tol / 8
+    while not (log_tail := math.log(prefactor) + _log_tail(envelope, s, radius) - shift) <= log_tol:
+        if radius >= spec.max_radius:
+            raise ToleranceNotMet(f"tail bound not below {spec.abs_tol / 8:g} of the peak "
+                                  f"at max radius {spec.max_radius}")
+        radius = min(radius + 2.0, spec.max_radius)
+    angles, edges = np.empty(0), np.linspace(0.0, radius, max(4, min(48, int(math.ceil(radius / 2.0)))) + 1)
+    if cusps := _cusp_points(f, power, radius):
+        angles = np.unique(np.mod(np.angle([z for z, order in cusps if order < _CUSP_MAX_ORDER]), 2.0 * np.pi))
+        edges = np.unique(np.concatenate((edges, np.abs([z for z, _ in cusps]))))
+    mult, budget = 1, None
     while True:
-        if budget is None:  # the first pass, unshifted or restarted in units of the peak
-            radius = 2.0  # the smallest of 2, 4, 6, ... whose tail is below abs_tol / 2
-            while not (tail := prefactor * _tail_bound(envelope, s, radius, shift)) <= spec.abs_tol / 2:
-                if radius >= spec.max_radius:
-                    raise ToleranceNotMet(
-                        f"tail bound not below {spec.abs_tol / 2:g} at max radius {spec.max_radius}"
-                    )
-                radius = min(radius + 2.0, spec.max_radius)
-            cusps = _cusp_points(f, power, radius)
-            angles = np.unique(np.mod(np.angle(cusps), 2.0 * np.pi)) if cusps else np.empty(0)
-            edges = np.linspace(0.0, radius, max(4, min(48, int(math.ceil(radius / 2.0)))) + 1)
-            if cusps:
-                edges = np.unique(np.concatenate((edges, np.abs(cusps))))
         engine = _RadialIntegrator(f, power, envelope, s, mult, angles, shift)
         stack = [(r0, r1, engine.panel(r0, r1), 0) for r0, r1 in zip(edges[:-1], edges[1:])]
-        if budget is None:
-            peak = max(panel[4] for _, _, panel, _ in stack)
-            if shift == 0.0 and (peak > _LOG_RANGE or -math.inf < peak < -_LOG_RANGE):
-                if peak == math.inf:
-                    raise ToleranceNotMet(f"log of the integrand reaches {peak} on the base panels")
-                shift = peak
-                continue
-            # the absolute tolerance splits panels in units of a peak below 1
-            floor = spec.abs_tol * math.exp(min(0.0, peak - shift))
+        if budget is None:  # the first pass's base panels fix the split budget
             scale = prefactor * sum(panel[0] for _, _, panel, _ in stack)
-            budget = max(floor, spec.rel_tol * abs(scale)) / 2.0 / prefactor
+            budget = max(abs_tol, spec.rel_tol * abs(scale)) / 2.0 / prefactor
         value, radial_err, ang_err, exhausted = _adaptive_radial(engine, stack, radius, budget)
         value *= prefactor
         radial_err *= prefactor
         ang_err *= prefactor
-        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+        tol = max(abs_tol, spec.rel_tol * abs(value))
         if ang_err <= tol / 4.0 or mult >= _MAX_ANGULAR_MULT:
             break
         mult *= 2
 
-    error = radial_err + ang_err + tail
+    error = radial_err + ang_err + math.exp(log_tail)
     if error > tol and exhausted:
         raise ToleranceNotMet(
             f"refinement budget exhausted: value {value:g}, error estimate {error:g}, tolerance {tol:g}"
         )
     if error > 4.0 * tol:
-        raise ToleranceNotMet(
-            f"error estimate {error:g} exceeds tolerance {tol:g} (value {value:g})"
-        )
+        raise ToleranceNotMet(f"error estimate {error:g} exceeds tolerance {tol:g} (value {value:g})")
     return IntegralResult(value, error, radius, shift)
 
 

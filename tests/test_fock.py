@@ -16,13 +16,20 @@ from focklab.fock import (
     kernel,
     sup_norm,
 )
-from focklab.quadrature import CHECK_SPEC
+from focklab.quadrature import CHECK_SPEC, DEFAULT_SPEC
 from focklab.sampling import random_complex, random_entire_function
 
 
 def test_kernel_unit_norm_sample():
     for w, p in ((0j, 2.0), (3 - 2j, 0.5), (1 + 1j, 3.7)):
         assert abs(fock_norm(kernel(w), p).value - 1.0) < 1e-9
+    # ||e^{cz}||_p = e^{|c|^2/2}: at large rates the truncation radius is
+    # about |c| + O(1), within max_radius 40 (the rounding of 19.9^2 / 2
+    # moves e^{198.005} by 63 ulps, well inside the estimate)
+    for f, p, exact in ((kernel(30), 2.5, 1.0), (sy.exp_term(19.9), 1.5, math.exp(19.9**2 / 2.0)),
+                        (sy.exp_term(20.0), 0.5, math.exp(200.0)), (sy.exp_term(25.0), 3.0, math.exp(312.5))):
+        norm = fock_norm(f, p)
+        assert abs(norm.value - exact) <= norm.error_estimate + 8 * math.ulp(exact), (f, p)
 
 
 def test_kernel_structure():
@@ -46,6 +53,12 @@ def test_monomial_norm_gamma_oracle():
         exact = ((2.0 / p) ** (p * n / 2.0) * math.gamma(p * n / 2.0 + 1.0)) ** (1.0 / p)
         got = fock_norm(sy.monomial(n), p).value
         assert math.isclose(got, exact, rel_tol=1e-9)
+    # a small multiple keeps a relative estimate
+    for c, n, p in ((1e-30, 3, 0.5), (1e-5, 2, 3.0)):
+        exact = c * ((2.0 / p) ** (p * n / 2.0) * math.gamma(p * n / 2.0 + 1.0)) ** (1.0 / p)
+        got = fock_norm(sy.scale(sy.monomial(n), c), p)
+        assert math.isclose(got.value, exact, rel_tol=1e-9)
+        assert got.error_estimate <= DEFAULT_SPEC.rel_tol * got.value
 
 
 def test_zero_norm_iff_zero_function(rng):
@@ -62,6 +75,13 @@ def test_norm_homogeneity(rng):
         lhs = fock_norm(sy.scale(f, c), 2.0, CHECK_SPEC).value
         rhs = abs(c) * fock_norm(f, 2.0, CHECK_SPEC).value
         assert math.isclose(lhs, rhs, rel_tol=1e-9)
+    # fock_norm divides out a power of two, so 2^k scales the norm exactly
+    for k in range(80):
+        f = random_entire_function(rng, max_terms=2, max_degree=2, rate_radius=1.0)
+        p, e = (0.5, 1.5, 2.0, 2.5, 3.0)[k % 5], int(rng.integers(-200, 201))
+        norm, scaled = fock_norm(f, p, CHECK_SPEC), fock_norm(sy.scale(f, 2.0**e), p, CHECK_SPEC)
+        assert (scaled.value, scaled.error_estimate) == (math.ldexp(norm.value, e),
+                                                         math.ldexp(norm.error_estimate, e)), (k, e)
 
 
 def test_sup_norm_examples():

@@ -179,6 +179,14 @@ def test_weight_path_is_linear_in_alpha():
     values = [d for _, d in profile]
     for d in values[1:]:
         assert math.isclose(d, values[0], rel_tol=1e-9)
+    # at p = q = 3 each certified increment is (1.00001 - 1) / 2 ||C_phi|| =
+    # 5.000000000032756e-06, reached by the constant 1 of the test family,
+    # whose estimate is relative however small the weight difference
+    exact = (1.00001 - 1.0) / 2.0
+    profile = path_profile("weight", steps=2, p=3.0, q=3.0, phi=AffineMap(0.5, 0.0),
+                           psi1=sy.ONE, psi2=sy.constant(1.00001))
+    for _, d in profile:
+        assert exact * (1.0 - 1e-8) <= d <= exact * (1.0 + 8 * 2.0**-52)
 
 
 def test_weight_path_detours_around_vanishing_combination():
