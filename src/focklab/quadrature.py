@@ -8,8 +8,9 @@ growth envelope |f(z)| <= A (1 + r)^d exp(K r), r = |z|, raised to the
 power yields a rigorous truncation-tail bound by completing the square.
 
 ``_integrate`` is the engine's one loop.  It first fixes its unit e^U, the
-largest value of the weighted integrand at the origin and on the circle
-where its envelope peaks; the spec's ``abs_tol`` is in units of e^U.  It
+largest value of the weighted integrand at the origin and on the circles
+where the envelopes of f and of its terms peak (U is a lower bound on the
+peak; a pass whose values overflow raises); ``abs_tol`` is in units of e^U.  It
 takes the smallest radius 2, 4, 6, ... (at most max_radius) whose tail
 bound is below abs_tol / 8 and runs a radial pass over at least four base
 panels of width at most 2.  Each panel is evaluated once, at the radii of
@@ -20,9 +21,8 @@ Only a panel whose gap misses its share of the tolerance is bisected
 (``_adaptive_radial``); the relative part of that tolerance comes from the
 sum of the first pass's base panels.  While the angular estimate misses a
 quarter of the tolerance, the node counts of every panel double (``mult``)
-and the pass reruns.  Where U lies beyond +-_LOG_RANGE (|f|^p at p = 1000,
-say) the values are in units of e^U, which ``IntegralResult.log_scale``
-carries back to the caller.
+and the pass reruns.  Where |U| > _LOG_RANGE (|f|^p at p = 1000, say) the
+values are in units of e^U, carried back as ``IntegralResult.log_scale``.
 
 Angular node counts follow the oscillation bound of |exp(cz)|^p on |z| = r,
 whose scale is p|c|r.  The equispaced rule is spectrally accurate only for
@@ -108,12 +108,13 @@ class IntegralResult:
 
 def _log_unit(f: EntireFunction, power: float, s: float, envelope: tuple[float, float, float]) -> float:
     """U, the largest log of |f|^power e^{-s|z|^2/2} at the origin and at 64
-    points on the circle where the envelope (log A, d, K) peaks, whose radius
-    r solves d / (1 + r) + K = s r; inf or nan where that overflows."""
-    _, degree, rate = envelope
-    r = (rate - s + math.hypot(s + rate, 2.0 * math.sqrt(s * degree))) / (2.0 * s)
+    points on each circle where the envelope (log A, d, K) of f or of one of
+    its terms peaks, r solving d / (1 + r) + K = s r: a lower bound on the
+    peak, inf or nan where that overflows."""
+    radii = {(k - s + math.hypot(s + k, 2.0 * math.sqrt(s * d))) / (2.0 * s)
+             for d, k in [envelope[1:]] + [(power * t.degree, power * abs(t.rate)) for t in f.terms]}
     with np.errstate(over="ignore", invalid="ignore"):
-        zs = np.append(0j, r * np.exp(2j * np.pi * np.arange(64) / 64))
+        zs = np.append(0j, np.outer(list(radii - {0.0}), np.exp(2j * np.pi * np.arange(64) / 64)))
         return float(np.max(power * symbols.log_abs_grid(f, zs) - s * np.abs(zs) ** 2 / 2.0))
 
 
@@ -147,20 +148,20 @@ def _angular_count(envelope: tuple[float, float, float], r: float, mult: int) ->
     return n + (n % 2)
 
 
-def _cusp_points(f: EntireFunction, power: float, radius: float) -> tuple[tuple[complex, float], ...]:
-    """The zeros z0 != 0 of f in |z| < radius at which |f|^power is not
-    smooth, with their orders power m; none where they cannot be certified.
+def _cusp_points(f: EntireFunction, power: float, radius: float) -> tuple[list[complex], list[complex]]:
+    """(edges, graded): the zeros z0 != 0 of f in |z| < radius where |f|^power is
+    not smooth, and those of them graded in angle; none where they cannot be certified.
 
     An m-fold zero makes |f|^power behave like |z - z0|^{power m}, smooth
     when power m is an even integer.  Each other one is a radial panel edge;
     past _CUSP_MAX_ORDER the uniform rule's angular error at its 64-node
-    minimum, 64^-(power m + 2), is below 2^-52, so only lower orders take a
-    graded rule.  At the origin the cusp r^{power m} has no angle.
+    minimum, 64^-(power m + 2), is below 2^-52, so only lower orders are
+    graded.  At the origin the cusp r^{power m} has no angle.
     """
     if power % 2.0 == 0.0:  # so is power m, for every m
-        return ()
-    zeros = symbols.zeros(f, radius) or ()
-    return tuple((z, power * m) for z, m in zeros if z != 0 and (power * m) % 2.0 != 0.0)
+        return [], []
+    cusps = [(z, power * m) for z, m in symbols.zeros(f, radius) or () if z != 0 and (power * m) % 2.0 != 0.0]
+    return [z for z, _ in cusps], [z for z, order in cusps if order < _CUSP_MAX_ORDER]
 
 
 def _graded_arcs(angles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,7 +224,7 @@ class _RadialIntegrator:
         zs = r[:, None] * phase[None, :]
         logs = self.power * symbols.log_abs_grid(self.f, zs) - (self.s * r * r / 2.0)[:, None]
         top, bottom = float(logs.max()), float(logs.min())
-        # an overflow (inf, or inf - inf) fails the accept tests downstream
+        # an overflow (inf, or inf - inf) makes _integrate raise
         with np.errstate(over="ignore", invalid="ignore"):
             vals = np.exp(logs - self.shift if self.shift else logs)
             if self.cusp_angles.size:
@@ -289,10 +290,10 @@ def _integrate(f: EntireFunction, power: float, s: float, prefactor: float,
             raise ToleranceNotMet(f"tail bound not below {spec.abs_tol / 8:g} of the peak "
                                   f"at max radius {spec.max_radius}")
         radius = min(radius + 2.0, spec.max_radius)
-    angles, edges = np.empty(0), np.linspace(0.0, radius, max(4, min(48, int(math.ceil(radius / 2.0)))) + 1)
-    if cusps := _cusp_points(f, power, radius):
-        angles = np.unique(np.mod(np.angle([z for z, order in cusps if order < _CUSP_MAX_ORDER]), 2.0 * np.pi))
-        edges = np.unique(np.concatenate((edges, np.abs([z for z, _ in cusps]))))
+    cut, graded = _cusp_points(f, power, radius)
+    angles = np.unique(np.mod(np.angle(graded), 2.0 * np.pi)) if graded else np.empty(0)
+    edges = np.linspace(0.0, radius, max(4, min(48, int(math.ceil(radius / 2.0)))) + 1)
+    edges = np.unique(np.concatenate((edges, np.abs(cut)))) if cut else edges
     mult, budget = 1, None
     while True:
         engine = _RadialIntegrator(f, power, envelope, s, mult, angles, shift)
@@ -301,9 +302,9 @@ def _integrate(f: EntireFunction, power: float, s: float, prefactor: float,
             scale = prefactor * sum(panel[0] for _, _, panel, _ in stack)
             budget = max(abs_tol, spec.rel_tol * abs(scale)) / 2.0 / prefactor
         value, radial_err, ang_err, exhausted = _adaptive_radial(engine, stack, radius, budget)
-        value *= prefactor
-        radial_err *= prefactor
-        ang_err *= prefactor
+        value, radial_err, ang_err = (prefactor * x for x in (value, radial_err, ang_err))
+        if not math.isfinite(value + radial_err + ang_err):  # the peak lies past e^unit times e^109
+            raise ToleranceNotMet(f"integrand overflows: value {value:g}, error {radial_err + ang_err:g}")
         tol = max(abs_tol, spec.rel_tol * abs(value))
         if ang_err <= tol / 4.0 or mult >= _MAX_ANGULAR_MULT:
             break

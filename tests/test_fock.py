@@ -30,6 +30,13 @@ def test_kernel_unit_norm_sample():
                         (sy.exp_term(20.0), 0.5, math.exp(200.0)), (sy.exp_term(25.0), 3.0, math.exp(312.5))):
         norm = fock_norm(f, p)
         assert abs(norm.value - exact) <= norm.error_estimate + 8 * math.ulp(exact), (f, p)
+    # a slower term holds the integrand's peak: e^{p |12.3|^2 / 2} = e^{718.6}
+    # at |z| = 12.3, while the summed envelope peaks at |z| = 19, where the
+    # integrand is about e^{506}; by the triangle inequality the norm lies
+    # within ||e^{-130} e^{19z}||_p = e^{50.5} of e^{75.645}
+    norm = fock_norm(sy.add(sy.exp_term(12.3), sy.exp_term(19.0, math.exp(-130.0))), 9.5)
+    exact = math.exp(12.3**2 / 2.0)
+    assert abs(norm.value - exact) <= norm.error_estimate + math.exp(50.5) + 8 * math.ulp(exact)
 
 
 def test_kernel_structure():

@@ -69,6 +69,15 @@ def test_tolerance_not_met_when_radius_cap_too_small():
         gaussian_integral(sy.exp_term(30.0), 1.0, 1.0, QuadratureSpec(max_radius=8.0))
 
 
+def test_an_overflowing_integrand_raises(monkeypatch):
+    # were the probed unit e^0 short of the peak e^{937.5} of |e^{25z}|^3
+    # e^{-3|z|^2/2}, the values would overflow: never a value of inf (the
+    # tail in units of e^0 is met only past radius 40)
+    monkeypatch.setattr(quadrature, "_log_unit", lambda *args: 0.0)
+    with pytest.raises(ToleranceNotMet, match="overflows"):
+        gaussian_integral(sy.exp_term(25.0), 3.0, 3.0, QuadratureSpec(max_radius=60.0))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
