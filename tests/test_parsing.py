@@ -115,6 +115,19 @@ EDGE_TEXTS = [
     "1e308*z + 1e308*z", "1e308+1e308", "1e308*z+1e308i*z", "(1e308+1e308i)",
     "(1e308+1e308i)*z", "(2+3i)*0.5*1e308", "(2+3i)*0.5*1e308+1", "exp((2+3i)*0.5*1e308*z)",
     "1e308*z - 1e308*z", "1.5e308*z - 1e308*z", "1e300*1e300*z",
+    # nesting through parentheses and exp( at the 64-level limit and one level past it
+    "(" * 63 + "z" + ")" * 63, "(" * 64 + "z" + ")" * 64,
+    "exp(0*" * 63 + "1" + ")" * 63, "exp(0*" * 64 + "1" + ")" * 64,
+    "exp(" * 63 + "0" + ")" * 63, "exp(" * 64 + "0" + ")" * 64,
+    "-(" * 31 + "z" + ")" * 31, "-(" * 32 + "z" + ")" * 32,
+    "exp(-" * 31 + "1" + ")" * 31, "exp(-" * 32 + "1" + ")" * 32,
+    "(exp(" * 31 + "0*z" + "))" * 31, "(exp(" * 32 + "0*z" + "))" * 32,
+    # signed zeros through powers and products
+    "(-0.0-1i)^1", "(-0.0-1i)*z^1", "(-0.0-1i)^2", "(-0.0-0.0i)^1", "(-0.0-1i)^1*exp(z)",
+    "z^1*(-0.0-1i)", "(-0.0-1i)*exp((-0.0-1i)*z)^1", "(0.0-1i)^1-(0.0-1i)^1", "-z^1*(-0.0+1i)^3",
+    # an overflow that a later product by zero or a later underflow must not hide
+    "(1e308*z + 1e308*z)*0", "(1e308*z)/1e-300*0", "(1e308*z)*(1e308*z)*0", "(z + 1e308*exp(z))*10*0",
+    "exp(1e308*z)*exp(1e308*z)*0", "(1e-320*z^2 + z)/1e300", "-(1e-320*z)/1e300 + 1",
 ]
 
 MAP_EDGES = [
