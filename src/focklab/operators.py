@@ -117,13 +117,6 @@ def _normalized_coefficients(terms: list[tuple[complex, np.ndarray]], order: int
     return alpha[:order], fraction
 
 
-def _basis_coefficients(f: EntireFunction, order: int) -> tuple[np.ndarray, float]:
-    """First ``order`` normalized-basis coefficients of f, plus the tail fraction."""
-    terms = [(t.rate, np.array(t.coeffs)[:, None]) for t in f.terms]
-    alpha, fraction = _normalized_coefficients(terms, order, 1)
-    return alpha[:, 0], float(fraction[0])
-
-
 def _column_powers(phi: AffineMap, order: int) -> np.ndarray:
     """Raw coefficients of (a z + b)^j / sqrt(j!) in column j, by Pascal's rule."""
     powers = np.zeros((order, order), dtype=complex)

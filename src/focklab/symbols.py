@@ -52,10 +52,13 @@ def _finite_moduli(values: Iterable[complex]) -> bool:
 
 def _check_finite(w: complex, what: str) -> complex:
     w = complex(w)
-    if not _finite_moduli((w,)):
-        need = "a modulus inside the float range" if cmath.isfinite(w) else "finite real and imaginary parts"
-        raise Inadmissible(f"{what} must have {need}, got {w!r}")
-    return w
+    try:
+        if abs(w) < math.inf:  # false for a nan part
+            return w
+    except OverflowError:  # finite parts whose modulus overflows
+        pass
+    need = "a modulus inside the float range" if cmath.isfinite(w) else "finite real and imaginary parts"
+    raise Inadmissible(f"{what} must have {need}, got {w!r}")
 
 
 def _cexp(w: complex) -> complex:
@@ -108,6 +111,18 @@ def _poly_horner(coeffs: Sequence[complex], z: complex) -> complex:
     return acc
 
 
+# a term as a plain pair; the canonical rule and the algebra's helpers work on these
+_Pair = tuple[complex, tuple[complex, ...]]
+
+
+def _term(coeffs: tuple[complex, ...], rate: complex) -> _Pair:
+    """The pair of complex coefficients and rate, each modulus inside the float range."""
+    if not _finite_moduli((*coeffs, rate)):  # name the offending value
+        coeffs = tuple(_check_finite(c, "coefficient") for c in coeffs)
+        rate = _check_finite(rate, "rate")
+    return rate, coeffs
+
+
 @dataclass(frozen=True)
 class PolyExpTerm:
     """One term P(z) * exp(rate * z), coefficients ascending in degree."""
@@ -118,10 +133,7 @@ class PolyExpTerm:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("PolyExpTerm needs at least one coefficient")
-        coeffs, rate = tuple(map(complex, self.coeffs)), complex(self.rate)
-        if not _finite_moduli((*coeffs, rate)):  # name the offending value
-            coeffs = tuple(_check_finite(c, "coefficient") for c in coeffs)
-            rate = _check_finite(rate, "rate")
+        rate, coeffs = _term(tuple(map(complex, self.coeffs)), complex(self.rate))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "rate", rate)
 
@@ -130,13 +142,19 @@ class PolyExpTerm:
         return len(self.coeffs) - 1
 
 
-def _canonical(terms: Sequence[PolyExpTerm]) -> tuple[PolyExpTerm, ...]:
-    if len(terms) == 1 and terms[0].coeffs[-1] != 0:
-        return tuple(terms)
-    items: list[tuple[complex, list[complex]]] = []
-    for t in terms:
-        items.append((t.rate, list(t.coeffs)))
-    items.sort(key=lambda it: (it[0].real, it[0].imag))
+def _is_noise(c: complex, moduli: float, count: int) -> bool:
+    """Whether c, a sum of count summands whose moduli sum to moduli, is zero or
+    within its rounding error.  Summed moduli past the float range bound nothing."""
+    return c == 0 or moduli < math.inf and abs(c) <= (count - 1) * _EPS * moduli
+
+
+def _canonical(pairs: tuple[_Pair, ...]) -> tuple[_Pair, ...]:
+    """Admissible pairs in canonical form: sorted by rate, rates within
+    TOL_SYM merged, trailing noise trimmed.  One term with a nonzero top
+    coefficient comes back as the same object."""
+    if len(pairs) == 1 and pairs[0][1][-1] != 0:
+        return pairs
+    items = sorted(pairs, key=lambda it: (it[0].real, it[0].imag))
 
     # per merged rate: coefficients, the sums of the summands' moduli, and
     # the number of summands
@@ -156,18 +174,27 @@ def _canonical(terms: Sequence[PolyExpTerm]) -> tuple[PolyExpTerm, ...]:
 
     # a trailing coefficient goes only when it is zero or within the
     # rounding error of the sum that merged it: z^k carries norm about
-    # sqrt(k!), so a small top coefficient can hold much of the norm.  Summed
-    # moduli past the float range bound nothing; PolyExpTerm checks the sum
+    # sqrt(k!), so a small top coefficient can hold much of the norm.  Only
+    # a merged sum can leave the float range
     out = []
     for rate, coeffs, moduli, count in merged:
-        noise = (count - 1) * _EPS
         k = len(coeffs)
-        while k > 0 and (coeffs[k - 1] == 0 or moduli[k - 1] < math.inf
-                         and abs(coeffs[k - 1]) <= noise * moduli[k - 1]):
+        while k > 0 and _is_noise(coeffs[k - 1], moduli[k - 1], count):
             k -= 1
         if k:
-            out.append(PolyExpTerm(tuple(coeffs[:k]), rate))
+            out.append(_term(tuple(coeffs[:k]), rate) if count > 1 else (rate, coeffs[:k]))
     return tuple(out)
+
+
+def _pairs(f: "EntireFunction") -> tuple[_Pair, ...]:
+    return tuple((t.rate, t.coeffs) for t in f.terms)
+
+
+def _from_pairs(pairs: tuple[_Pair, ...]) -> "EntireFunction":
+    """The symbol of canonical pairs, built without a second canonical pass."""
+    f = object.__new__(EntireFunction)
+    object.__setattr__(f, "terms", tuple(PolyExpTerm(coeffs, rate) for rate, coeffs in pairs))
+    return f
 
 
 @dataclass(frozen=True)
@@ -177,7 +204,9 @@ class EntireFunction:
     terms: tuple[PolyExpTerm, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _canonical(self.terms))
+        pairs = _pairs(self)
+        canonical = _canonical(pairs)
+        object.__setattr__(self, "terms", tuple(self.terms) if canonical is pairs else _from_pairs(canonical).terms)
 
     @property
     def is_zero(self) -> bool:
@@ -220,18 +249,28 @@ def variable() -> EntireFunction:
 
 def exp_term(rate: complex, coefficient: complex = 1.0) -> EntireFunction:
     """coefficient * exp(rate * z)."""
-    return EntireFunction((PolyExpTerm((complex(coefficient),), complex(rate)),))
+    return _from_pairs(_canonical((_term((complex(coefficient),), complex(rate)),)))
 
 
 def add(f: EntireFunction, g: EntireFunction) -> EntireFunction:
-    return EntireFunction(f.terms + g.terms)
+    return _from_pairs(_canonical(_pairs(f) + _pairs(g)))
+
+
+def _scale(pairs: tuple[_Pair, ...], c: complex) -> tuple[_Pair, ...]:
+    # canonical pairs scaled by c keep their rates and order: only a top
+    # coefficient that became zero, or a term that did, can go
+    out = []
+    for rate, coeffs in pairs:
+        coeffs = _term(tuple(c * a for a in coeffs), rate)[1]
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        if coeffs:
+            out.append((rate, coeffs))
+    return tuple(out)
 
 
 def scale(f: EntireFunction, c: complex) -> EntireFunction:
-    c = _check_finite(c, "scalar")
-    if c == 0:
-        return ZERO
-    return EntireFunction(tuple(PolyExpTerm(tuple(c * a for a in t.coeffs), t.rate) for t in f.terms))
+    return _from_pairs(_scale(_pairs(f), _check_finite(c, "scalar")))
 
 
 def negate(f: EntireFunction) -> EntireFunction:
@@ -242,12 +281,12 @@ def sub(f: EntireFunction, g: EntireFunction) -> EntireFunction:
     return add(f, negate(g))
 
 
+def _mul(f: tuple[_Pair, ...], g: tuple[_Pair, ...]) -> tuple[_Pair, ...]:
+    return _canonical(tuple(_term(tuple(_poly_mul(sc, tc)), sr + tr) for sr, sc in f for tr, tc in g))
+
+
 def mul(f: EntireFunction, g: EntireFunction) -> EntireFunction:
-    terms = []
-    for s in f.terms:
-        for t in g.terms:
-            terms.append(PolyExpTerm(tuple(_poly_mul(s.coeffs, t.coeffs)), s.rate + t.rate))
-    return EntireFunction(tuple(terms))
+    return _from_pairs(_mul(_pairs(f), _pairs(g)))
 
 
 def differentiate(f: EntireFunction) -> EntireFunction:
@@ -425,36 +464,21 @@ def compose_affine(f: EntireFunction, phi: "AffineMap") -> EntireFunction:
     return EntireFunction(tuple(terms))
 
 
-def growth_envelope(f: EntireFunction, r: float) -> float:
-    """sum_i phat_i(r) exp(|c_i| r) with phat the coefficient-modulus polynomial.
-
-    Upper-bounds max_{|z|=r} |f(z)| for every r >= 0.
-    """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    total = 0.0
-    for t in f.terms:
-        phat = sum(abs(c) * r**k for k, c in enumerate(t.coeffs))
-        total += phat * math.exp(abs(t.rate) * r)
-    return total
-
-
 def envelope_majorant(f: EntireFunction) -> tuple[float, int, float]:
     """(amplitude, degree, rate) with |f(z)| <= amplitude (1+|z|)^degree e^{rate |z|}."""
     amp = sum(abs(c) for t in f.terms for c in t.coeffs)
     return amp, f.degree, f.max_rate
 
 
+def _constant_value(pairs: tuple[_Pair, ...], tol: float = TOL_SYM) -> complex | None:
+    if len(pairs) == 1 and len(pairs[0][1]) == 1 and abs(pairs[0][0]) <= tol:
+        return pairs[0][1][0]
+    return None if pairs else 0j
+
+
 def constant_value(f: EntireFunction, tol: float = TOL_SYM) -> complex | None:
     """The constant value of f if f is constant (0 included), else None."""
-    if not f.terms:
-        return 0j
-    if len(f.terms) > 1:
-        return None
-    t = f.terms[0]
-    if t.degree == 0 and abs(t.rate) <= tol:
-        return t.coeffs[0]
-    return None
+    return _constant_value(_pairs(f), tol)
 
 
 def isclose(f: EntireFunction, g: EntireFunction, tol: float = 1e-9) -> bool:
@@ -507,10 +531,6 @@ class AffineMap:
     @property
     def is_unit_modulus(self) -> bool:
         return abs(abs(self.a) - 1.0) <= TOL_SYM
-
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: z -> self(other(z))."""
-        return AffineMap(self.a * other.a, self.a * other.b + self.b)
 
     def isclose(self, other: "AffineMap", tol: float = TOL_SYM) -> bool:
         return abs(self.a - other.a) <= tol and abs(self.b - other.b) <= tol

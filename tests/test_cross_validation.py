@@ -17,9 +17,17 @@ import pytest
 
 from focklab import symbols as sy
 from focklab.fock import _gram_power, fock_norm, kernel, norm_power
-from focklab.operators import _basis_coefficients
+from focklab.operators import _normalized_coefficients
 from focklab.quadrature import CHECK_SPEC, DEFAULT_SPEC, gaussian_integral
 from focklab.sampling import random_entire_function
+from focklab.symbols import EntireFunction
+
+
+def _basis_coefficients(f: EntireFunction, order: int) -> tuple[np.ndarray, float]:
+    """First ``order`` normalized-basis coefficients of f, plus the tail fraction."""
+    terms = [(t.rate, np.array(t.coeffs)[:, None]) for t in f.terms]
+    alpha, fraction = _normalized_coefficients(terms, order, 1)
+    return alpha[:, 0], float(fraction[0])
 
 
 def parseval_norm(f, order=160):

@@ -88,6 +88,119 @@ def test_parse_affine_and_complex():
         parse_affine("2,0")
 
 
+# ------------------------------------------------------- arithmetic oracle
+#
+# A random expression tree is rendered to text and evaluated a second time
+# through the symbol algebra (constant, add, scale, mul, exp_term), with no
+# constant folding.  The parse must give the same function bit for bit, or
+# raise the same exception with the same message.
+
+_ORACLE_LITERALS = ("0", "0.0", "0.0i", "1", "2", "0.5", "1.5", "0.1", "0.2", "0.3", "i", "3i",
+                    "0.5i", "0.1i", "1e300", "1e-300", "1e-320", "1e308", "1e300i", "1e-300i",
+                    "1e-320i")
+_oracle_literal = st.sampled_from(_ORACLE_LITERALS)
+_oracle_leaf = st.one_of(_oracle_literal.map(lambda t: ("lit", t)), st.just(("z",)),
+                         st.tuples(st.just("explin"), _oracle_literal, _oracle_literal))
+_oracle_tree = st.recursive(_oracle_leaf, lambda kids: st.one_of(
+    st.tuples(st.just("neg"), kids),
+    st.tuples(st.sampled_from(("+", "-", "*", "/")), kids, kids),
+    st.tuples(st.just("^"), kids, st.integers(0, 3)),
+    st.tuples(st.just("exp"), kids)), max_leaves=8)
+
+
+def _oracle_text(node: tuple) -> str:
+    kind = node[0]
+    if kind == "lit":
+        return node[1]
+    if kind == "z":
+        return "z"
+    if kind == "explin":
+        return f"exp({node[1]} + {node[2]}*z)"
+    if kind == "neg":
+        return f"-({_oracle_text(node[1])})"
+    if kind == "^":
+        return f"({_oracle_text(node[1])})^{node[2]}"
+    if kind == "exp":
+        return f"exp({_oracle_text(node[1])})"
+    return f"({_oracle_text(node[1])} {kind} {_oracle_text(node[2])})"
+
+
+def _oracle_literal_value(text: str) -> sy.EntireFunction:
+    return sy.constant(complex(0.0, float(text[:-1] or 1)) if text.endswith("i") else complex(float(text)))
+
+
+def _oracle_exp(arg: sy.EntireFunction) -> sy.EntireFunction:
+    shift = rate = 0j
+    if arg.terms:
+        t = arg.terms[0]
+        if len(arg.terms) > 1 or abs(t.rate) > sy.TOL_SYM or t.degree > 1:
+            raise ParseError("argument of exp must be a polynomial of degree at most one", 0)
+        shift, rate = t.coeffs[0], (t.coeffs[1] if t.degree else 0j)
+    if shift == 0 and rate == 0:
+        return sy.ONE
+    try:
+        factor = cmath.exp(shift)
+    except OverflowError:
+        raise ParseError("exp of the argument's constant part overflows", 0) from None
+    return sy.constant(factor) if rate == 0 else sy.exp_term(rate, factor)
+
+
+def _oracle_value(node: tuple) -> sy.EntireFunction:
+    kind = node[0]
+    if kind == "lit":
+        return _oracle_literal_value(node[1])
+    if kind == "z":
+        return sy.variable()
+    if kind == "explin":
+        b_z = sy.mul(_oracle_literal_value(node[2]), sy.variable())
+        return _oracle_exp(sy.add(_oracle_literal_value(node[1]), b_z))
+    if kind == "neg":
+        return sy.scale(_oracle_value(node[1]), -1.0)
+    if kind == "^":
+        base, power = _oracle_value(node[1]), sy.ONE
+        for _ in range(node[2]):
+            power = sy.mul(power, base)
+        return power
+    if kind == "exp":
+        return _oracle_exp(_oracle_value(node[1]))
+    left, right = _oracle_value(node[1]), _oracle_value(node[2])
+    if kind == "+":
+        return sy.add(left, right)
+    if kind == "-":
+        return sy.add(left, sy.scale(right, -1.0))
+    if kind == "*":
+        return sy.mul(left, right)
+    divisor = sy.constant_value(right)
+    if divisor is None or divisor == 0:
+        raise ParseError("division is allowed by nonzero constants only", 0)
+    return sy.scale(left, 1.0 / divisor)
+
+
+def _oracle_outcome(evaluate: Callable[[], sy.EntireFunction]) -> tuple:
+    """The function's terms as float.hex, or the exception's type and message
+    (a ParseError's without its position, which the oracle does not track)."""
+    try:
+        f = evaluate()
+    except (FocklabError, ArithmeticError) as exc:
+        message = str(exc).rpartition(" (at position ")[0] if isinstance(exc, ParseError) else str(exc)
+        return type(exc).__name__, message
+    return tuple((tuple(_hex(c) for c in t.coeffs), _hex(t.rate)) for t in f.terms)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_oracle_tree)
+@example(("^", ("-", ("neg", ("lit", "0.0")), ("lit", "i")), 1))  # (-0.0-1i)^1
+@example(("*", ("neg", ("lit", "0.0")), ("^", ("z",), 1)))
+@example(("+", ("lit", "0"), ("neg", ("lit", "i"))))  # a signed zero that a sum with 0 keeps
+@example(("-", ("+", ("lit", "0.1"), ("lit", "0.2")), ("lit", "0.3")))  # rounding noise
+@example(("*", ("/", ("lit", "1e300"), ("lit", "1e-300")), ("lit", "0")))  # an overflow then 0
+@example(("/", ("z",), ("*", ("lit", "1e-320"), ("lit", "1e-300"))))  # a divisor that underflows
+@example(("+", ("*", ("lit", "1e308"), ("z",)), ("*", ("lit", "1e308"), ("z",))))
+def test_parse_arithmetic_matches_the_symbol_algebra(tree):
+    text = _oracle_text(tree)
+    assert _oracle_outcome(lambda: parse_symbol(text)) == _oracle_outcome(lambda: _oracle_value(tree)), text
+
+
 # ------------------------------------------------------------ frozen corpus
 #
 # ``data/parse_frozen.json`` holds, for a fixed set of symbol and map texts,
