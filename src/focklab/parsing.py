@@ -76,7 +76,9 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _lift(v: _Value) -> tuple:
-    return v if not isinstance(v, complex) else ((0j, (v,)),) if v else ()
+    if not isinstance(v, complex):
+        return v
+    return ((0j, (v,)),) if v else ()
 
 
 def _add(f: _Value, g: _Value) -> _Value:

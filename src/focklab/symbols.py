@@ -206,7 +206,8 @@ class EntireFunction:
     def __post_init__(self):
         pairs = _pairs(self)
         canonical = _canonical(pairs)
-        object.__setattr__(self, "terms", tuple(self.terms) if canonical is pairs else _from_pairs(canonical).terms)
+        terms = self.terms if canonical is pairs else (PolyExpTerm(coeffs, rate) for rate, coeffs in canonical)
+        object.__setattr__(self, "terms", tuple(terms))
 
     @property
     def is_zero(self) -> bool:
