@@ -31,10 +31,9 @@ from .fock import (
     NormValue,
     check_embedding,
     check_growth_inequalities,
-    fock_distance,
     fock_norm,
+    gauge_at,
     kernel,
-    sup_norm,
 )
 from .operators import (
     FamilySpec,
@@ -55,7 +54,6 @@ from .criteria import (
     decide,
     dilation_compose,
     essential_norm_bracket,
-    gauge_at,
     gauge_plane_norm,
     gauge_profile,
 )
@@ -66,7 +64,6 @@ from .topology import (
     DifferenceVerdict,
     compact_difference,
     component_id,
-    distance_lower_bound,
     is_isolated,
     path_profile,
 )

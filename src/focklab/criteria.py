@@ -42,7 +42,7 @@ import numpy as np
 
 from . import symbols
 from .errors import HypothesisViolated, Inadmissible
-from .fock import NormValue, fock_norm, gauge_at, gauge_peak, log_gauge_grid
+from .fock import NormValue, fock_norm, gauge_peak, log_gauge_grid
 from .operators import FamilySpec, WeightedCompositionOperator, empirical_norm
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .symbols import AffineMap, EntireFunction, PolyExpTerm

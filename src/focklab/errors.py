@@ -56,14 +56,3 @@ class ToleranceNotMet(NumericFailure):
 
 class TailLoss(NumericFailure):
     """A truncated matrix column lost more mass than the tolerance allows."""
-
-
-class BoundViolated(NumericFailure):
-    """A certified inequality failed on a sample point.
-
-    Indicates a quadrature or algebra bug; carries the witness point.
-    """
-
-    def __init__(self, message: str, witness: complex | None = None):
-        super().__init__(message)
-        self.witness = witness

@@ -2,8 +2,8 @@
 components, isolated points, and numeric path profiles.
 
 All decisions here are sharp dichotomies read off ``criteria.decide``, which
-runs no numerics; the numeric outputs (kernel-witness distance bounds and
-path increment profiles) demonstrate the decisions, they never make them.
+runs no numerics; the numeric output (path increment profiles) demonstrates
+the decisions, it never makes them.
 
 Component picture for the space of nonzero weighted composition operators:
 when the domain exponent exceeds the codomain exponent the whole space is
@@ -24,7 +24,6 @@ from typing import Sequence
 from . import symbols
 from .criteria import Verdict, decide, dilation_compose
 from .errors import HypothesisViolated, NotBounded
-from .fock import fock_norm, kernel
 from .operators import (
     WeightedCompositionOperator,
     composition_operator,
@@ -32,7 +31,7 @@ from .operators import (
     f2_matrix,
     matrix_sigma_max,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, polar_grid
+from .quadrature import DEFAULT_SPEC, QuadratureSpec
 from .symbols import AffineMap, EntireFunction
 
 RULE_DIFF_BOTH_COMPACT = "difference-both-compact"
@@ -164,47 +163,28 @@ def is_isolated(phi: AffineMap, p: float, q: float) -> bool:
     return phi.is_unit_modulus
 
 
-def distance_lower_bound(phi: AffineMap, other: AffineMap, p: float, q: float,
-                         w_grid: Sequence[complex] | None = None,
-                         spec: QuadratureSpec | None = None) -> float:
-    """Certified lower bound on ||C_phi - C_other|| from kernel witnesses.
-
-    sup over the grid of ||(C_phi - C_other) k_w||_q less its error estimate,
-    and at least 0; every kernel has unit norm, so each bounds the distance.
-    For distinct bounded composition symbols the bound approaches at least 1
-    as the grid radius grows; the default grid reaches |w| = 6.
-    """
-    if phi.isclose(other):
-        raise ValueError("maps coincide; the distance question is about distinct symbols")
-    spec = spec or DEFAULT_SPEC
-    for candidate in (phi, other):
-        if decide(composition_operator(candidate, p, q)).verdict is Verdict.UNBOUNDED:
-            raise NotBounded("both composition operators must be bounded")
-    if w_grid is None:
-        w_grid = polar_grid(6.0, 12, 16, include_origin=True)
-    best = 0.0
-    for w in w_grid:
-        image = symbols.sub(
-            symbols.compose_affine(kernel(w), phi),
-            symbols.compose_affine(kernel(w), other),
-        )
-        best = max(best, fock_norm(image, q, spec).lower)
-    return best
-
-
 class PathKind(str, Enum):
     DILATE = "dilate"
     TRANSLATE = "translate"
     WEIGHT = "weight"
 
 
-def _needs_detour(lam: complex | None) -> bool:
-    # proportional weights with ratio lam forbid the blend 1/(1-lam); the
-    # straight segment [0, 1] only needs rerouting when it hits that point
-    if lam is None or lam == 1:
-        return False
-    forbidden = 1.0 / (1.0 - lam)
-    return abs(forbidden.imag) <= _DETOUR_TOL and -_DETOUR_TOL <= forbidden.real <= 1.0 + _DETOUR_TOL
+def weight_path(psi1: EntireFunction, psi2: EntireFunction,
+                ts: Sequence[float]) -> list[EntireFunction]:
+    """The weights u_t = (1 - alpha(t)) psi1 + alpha(t) psi2 at each t.
+
+    alpha(t) = t, unless the weights are proportional with ratio lam and the
+    straight segment [0, 1] hits the forbidden blend 1/(1-lam), where u
+    vanishes; alpha then takes the arc t + (i/2) sin(pi t) around it.
+    """
+    lam = symbols.proportionality_ratio(psi1, psi2)
+    forbidden = None if lam is None or lam == 1 else 1.0 / (1.0 - lam)
+    if (forbidden is not None and abs(forbidden.imag) <= _DETOUR_TOL
+            and -_DETOUR_TOL <= forbidden.real <= 1.0 + _DETOUR_TOL):
+        alpha = [t + 0.5j * math.sin(math.pi * t) for t in ts]
+    else:
+        alpha = [complex(t) for t in ts]
+    return [symbols.add(symbols.scale(psi1, 1.0 - a), symbols.scale(psi2, a)) for a in alpha]
 
 
 def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
@@ -225,10 +205,8 @@ def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
     * ``translate``: two constant-map composition operators join through the
       line of constants between them.
     * ``weight``: two admissible weights over one shared map join through
-      u_t = (1 - alpha(t)) psi1 + alpha(t) psi2, with alpha(t) = t except
-      when the weights are proportional with ratio lam, where the straight
-      segment may cross the forbidden point 1/(1-lam); the path then takes
-      a fixed arc through the complex plane around it.
+      the weights of ``weight_path``, a straight blend of psi1 and psi2 or,
+      where that blend would vanish, a fixed arc around the forbidden point.
 
     ``steps`` runs from 1 to ``MAX_PATH_STEPS``.
     """
@@ -254,15 +232,7 @@ def path_profile(kind: PathKind | str, *, steps: int, p: float, q: float,
     else:
         if phi is None or psi1 is None or psi2 is None:
             raise HypothesisViolated("the weight path needs phi and both weights psi1 and psi2")
-        lam = symbols.proportionality_ratio(psi1, psi2)
-        if _needs_detour(lam):
-            alpha = [t + 0.5j * math.sin(math.pi * t) for t in ts]
-        else:
-            alpha = [complex(t) for t in ts]
-        ops = []
-        for a_t in alpha:
-            u = symbols.add(symbols.scale(psi1, 1.0 - a_t), symbols.scale(psi2, a_t))
-            ops.append(WeightedCompositionOperator(u, phi, p, q))
+        ops = [WeightedCompositionOperator(u, phi, p, q) for u in weight_path(psi1, psi2, ts)]
 
     if p == 2.0 and q == 2.0:
         # Hilbert-Hilbert case: truncated-matrix sigma is the sharper witness;

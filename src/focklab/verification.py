@@ -20,14 +20,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import symbols, topology
+from . import symbols
 from .criteria import (
     ANNULUS_RADII,
     Verdict,
     annulus_sups,
     classify,
     essential_norm_bracket,
-    gauge_at,
     gauge_plane_norm,
     gauge_profile,
 )
@@ -36,6 +35,7 @@ from .fock import (
     check_embedding,
     check_growth_inequalities,
     fock_norm,
+    gauge_at,
     kernel,
 )
 from .operators import (
@@ -43,6 +43,7 @@ from .operators import (
     WeightedCompositionOperator,
     berezin,
     composition_operator,
+    empirical_distance,
     f2_matrix,
     matrix_sigma_max,
 )
@@ -60,12 +61,15 @@ from .topology import (
     DifferenceReason,
     compact_difference,
     component_id,
-    distance_lower_bound,
     is_isolated,
+    weight_path,
 )
 
 SMALL_FAMILY = FamilySpec(kernel_radius=4.0, kernel_radii=6, kernel_angles=8,
                           monomial_degree=10)
+# the default 193 kernels and the constant, whose image difference under two
+# composition operators is zero
+KERNEL_FAMILY = FamilySpec(monomial_degree=0)
 
 
 @dataclass(frozen=True)
@@ -256,9 +260,9 @@ def check_essential_norm(rng: np.random.Generator, fast: bool = False) -> CheckR
 
 def check_separation(rng: np.random.Generator, fast: bool = False) -> CheckResult:
     """Kernel-witness distance between distinct bounded composition operators."""
-    identity = AffineMap(1.0, 0.0)
-    d1 = distance_lower_bound(identity, AffineMap(-1.0, 0.0), 2.0, 2.0, spec=CHECK_SPEC)
-    d2 = distance_lower_bound(identity, AffineMap(0.5, 0.0), 2.0, 2.0, spec=CHECK_SPEC)
+    identity = composition_operator(AffineMap(1.0, 0.0), 2.0, 2.0)
+    d1, d2 = (empirical_distance(identity, composition_operator(AffineMap(a, 0.0), 2.0, 2.0),
+                                 KERNEL_FAMILY, CHECK_SPEC) for a in (-1.0, 0.5))
     passed = d1 >= 0.99 and d2 >= 0.99
     return _result("separation", passed, f"opposite maps {d1:.6f}, halved map {d2:.6f}")
 
@@ -358,13 +362,9 @@ def check_components_isolation(rng: np.random.Generator, fast: bool = False) -> 
     # including the proportional pair whose straight segment would vanish
     leaf_phi = AffineMap(unit, 0.8)
     base = unit_leaf_weight(leaf_phi, 1.0)
-    for c2 in (2 + 1j, -1.0 + 0j):
-        lam = complex(c2)
-        for t in (0.1, 0.3, 0.5, 0.7, 0.9):
-            alpha = complex(t)
-            if topology._needs_detour(lam):
-                alpha = t + 0.5j * math.sin(math.pi * t)
-            u = symbols.add(symbols.scale(base, 1.0 - alpha), symbols.scale(symbols.scale(base, lam), alpha))
+    ts = (0.1, 0.3, 0.5, 0.7, 0.9)
+    for lam in (2 + 1j, -1.0 + 0j):
+        for t, u in zip(ts, weight_path(base, symbols.scale(base, lam), ts)):
             op = WeightedCompositionOperator(u, leaf_phi, 2.0, 2.0)
             if classify(op, CHECK_SPEC).verdict is not Verdict.BOUNDED_NONCOMPACT:
                 failures.append(f"leaf path interior unbounded at t={t}, ratio {lam}")

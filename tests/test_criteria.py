@@ -13,12 +13,11 @@ from focklab.criteria import (
     decide,
     dilation_compose,
     essential_norm_bracket,
-    gauge_at,
     gauge_plane_norm,
     gauge_profile,
 )
 from focklab.errors import HypothesisViolated
-from focklab.fock import fock_norm, gauge_peak, log_gauge_grid
+from focklab.fock import fock_norm, gauge_at, gauge_peak, log_gauge_grid
 from focklab.operators import (
     FamilySpec,
     WeightedCompositionOperator,
@@ -244,6 +243,9 @@ def test_plane_norm_matches_closed_form():
                  (3.0, 1.5), (5.0, 2.0)):
         c = random_complex(rng, 2.0) + 0.5
         cases.append((c, random_complex(rng, 1.0), random_affine(rng, a_max=0.8), p, q))
+    # |a| = 0.99: the dilation t = 1/sqrt(1 - |a|^2) is about 7.1
+    near_unit = AffineMap(0.99 * complex(math.cos(0.7), math.sin(0.7)), 0.3 - 0.2j)
+    cases += [(0.8 + 0.3j, 0.2 - 0.4j, near_unit, p, q) for p, q in ((2.5, 1.5), (3.0, 1.0))]
     for c, d, phi, p, q in cases:
         s = p * q / (p - q)
         w = d + phi.b.conjugate() * phi.a

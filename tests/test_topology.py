@@ -13,6 +13,7 @@ from focklab.operators import (
     FamilySpec,
     WeightedCompositionOperator,
     composition_operator,
+    empirical_distance,
     f2_matrix,
 )
 from focklab.quadrature import CHECK_SPEC, polar_grid
@@ -23,7 +24,6 @@ from focklab.topology import (
     DifferenceReason,
     compact_difference,
     component_id,
-    distance_lower_bound,
     is_isolated,
     path_profile,
 )
@@ -114,32 +114,38 @@ def test_is_isolated_cases():
         is_isolated(AffineMap(UNIT, 0.5), 2.0, 2.0)
 
 
+def _kernel_distance(phi1, phi2, q, radius, radii, angles):
+    """The kernel-witness lower bound on ||C_phi1 - C_phi2||: the family's
+    kernels on a polar grid with its origin, and the constant, whose image
+    difference is zero."""
+    family = FamilySpec(kernel_radius=radius, kernel_radii=radii, kernel_angles=angles,
+                        monomial_degree=0)
+    return empirical_distance(composition_operator(phi1, 2.0, q), composition_operator(phi2, 2.0, q),
+                              family, CHECK_SPEC)
+
+
 def test_distance_lower_bound_small_grid():
-    grid = polar_grid(6.0, 4, 8)
-    d = distance_lower_bound(IDENTITY, AffineMap(-1.0, 0.0), 2.0, 2.0, w_grid=grid, spec=CHECK_SPEC)
-    assert d >= 0.99
-    with pytest.raises(ValueError):
-        distance_lower_bound(IDENTITY, AffineMap(1.0, 0.0), 2.0, 2.0)
+    assert _kernel_distance(IDENTITY, AffineMap(-1.0, 0.0), 2.0, 6.0, 4, 8) >= 0.99
 
 
 def test_distance_lower_bound_counts_each_witness_below_its_estimate():
     # certified: a witness contributes its norm less the norm's error estimate
-    grid = polar_grid(3.0, 2, 4)
+    grid = polar_grid(3.0, 2, 4, include_origin=True)
     phi1, phi2 = AffineMap(0.5, 0.0), AffineMap(0.25, 0.3)
     for q in (1.5, 2.0):
         witnesses = [fock_norm(sy.sub(sy.compose_affine(kernel(w), phi1),
                                       sy.compose_affine(kernel(w), phi2)), q, CHECK_SPEC)
                      for w in grid]
-        d = distance_lower_bound(phi1, phi2, 2.0, q, w_grid=grid, spec=CHECK_SPEC)
+        d = _kernel_distance(phi1, phi2, q, 3.0, 2, 4)
         assert d == max(0.0, max(n.value - n.error_estimate for n in witnesses))
-        assert all(n.error_estimate > 0.0 for n in witnesses)
+        # the kernel at the origin is the constant 1, whose image difference is zero
+        assert all(n.error_estimate > 0.0 for w, n in zip(grid, witnesses) if w != 0)
         assert d < max(n.value for n in witnesses)
 
 
 def test_distance_respects_triangle_sanity():
-    grid = polar_grid(4.0, 3, 6)
     phi1, phi2 = AffineMap(0.5, 0.0), AffineMap(0.25, 0.3)
-    d = distance_lower_bound(phi1, phi2, 2.0, 2.0, w_grid=grid, spec=CHECK_SPEC)
+    d = _kernel_distance(phi1, phi2, 2.0, 4.0, 3, 6)
     upper = (classify(composition_operator(phi1, 2.0, 2.0), CHECK_SPEC).norm_upper
              + classify(composition_operator(phi2, 2.0, 2.0), CHECK_SPEC).norm_upper)
     assert d <= upper
