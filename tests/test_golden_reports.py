@@ -1,7 +1,8 @@
 """Golden-report gate: fixed inputs must render byte-identical JSON reports.
 
 The cases are the README's CLI examples (at matrix order 32 and 2 path
-steps) plus ``classify`` on each decision branch and the q < p ``opnorm``.
+steps) plus ``classify`` on each decision branch, the q < p ``opnorm`` and
+``verify --fast``.
 A change that alters a report on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -37,6 +38,8 @@ CASES = [
     ("classify", {"psi": "z", "phi": "1,0", "p": 2.0, "q": 2.0}),
     ("classify", {"psi": "1", "phi": "0.5,0", "p": 3.0, "q": 2.0}),
     ("opnorm", {"psi": "1", "phi": "0.5,0", "p": 3.0, "q": 2.0}),
+    # the acceptance checks at reduced sample counts
+    ("verify", {"fast": True}),
 ]
 
 
