@@ -27,14 +27,7 @@ from .quadrature import (
     QuadratureSpec,
     gaussian_integral,
 )
-from .fock import (
-    NormValue,
-    check_embedding,
-    check_growth_inequalities,
-    fock_norm,
-    gauge_at,
-    kernel,
-)
+from .fock import NormValue, fock_norm, gauge_at, kernel
 from .operators import (
     FamilySpec,
     TruncatedMatrix,

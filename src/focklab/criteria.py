@@ -150,7 +150,8 @@ def gauge_plane_norm(psi: EntireFunction, phi: AffineMap, p: float, q: float,
     Symbolic prefilter: for |a| = 1 a nonzero entire profile is never plane
     integrable, so the norm is infinite without quadrature.  For |a| < 1 it
     is the Fock norm of the dilated profile (module docstring), scaled in the
-    log domain; a value past the float range reads inf.
+    log domain: past the float range it reads inf where the factor or the
+    dilated profile overflows, and raises NumericFailure where its norm does.
     """
     if not 0 < q < p:
         raise HypothesisViolated("plane norm of the gauge requires 0 < q < p")
@@ -291,12 +292,10 @@ def classify(op: WeightedCompositionOperator,
     m, upper = min(sup, sys.float_info.max), bracket_factor * sup
     if decision.verdict is Verdict.COMPACT:
         return Classification(Verdict.COMPACT, None, m, upper, 0.0, 0.0, None, decision.rules)
-    # the bracket's raw upper side can exceed the operator-norm bound (both
-    # bound the essential norm); the classification keeps the min
-    ess = (m, min(2.0 * bracket_factor * sup, upper)) if p > 1.0 else (0.0, upper)
-    return Classification(
-        Verdict.BOUNDED_NONCOMPACT, None, m, upper, ess[0], ess[1], None, decision.rules,
-    )
+    # the essential norm is at most the norm, so the bracket's upper side,
+    # 2 bracket_factor sup, never binds: it is twice the norm bound
+    return Classification(Verdict.BOUNDED_NONCOMPACT, None, m, upper, m if p > 1.0 else 0.0,
+                          upper, None, decision.rules)
 
 
 def essential_norm_bracket(op: WeightedCompositionOperator) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Fock-space norms, kernel functions and the growth-inequality suite.
+"""Fock-space norms, kernel functions and the symbol gauge.
 
 The p-norm of an entire function is
     ||f||_p = ( (p / 2 pi) * integral |f(z)|^p exp(-p |z|^2 / 2) dA(z) )^{1/p},
@@ -18,12 +18,6 @@ There the error estimate is a rigorous bound on the rounding of that sum and
 ``truncation_radius`` is None; where the bound misses the tolerance, a
 partial sum overflows or the expansion of f^k is too large, the norm falls
 back to the quadrature like every other p.
-
-The inequality checks measure, on sample grids, the three workhorse bounds:
-pointwise growth |f(z)| <= e^{|z|^2/2} ||f||_p, the derivative variant with
-constant e^2 (1+|z|), and the inclusion constant (q/p)^{1/q} between spaces.
-They return the worst ratio and its witness and raise nothing; the caller
-judges the ratio.
 """
 
 from __future__ import annotations
@@ -386,63 +380,3 @@ def gauge_peak(psi: EntireFunction, phi: symbols.AffineMap) -> tuple[complex, fl
     values = log_gauge_grid(psi, phi, zs)
     best = np.argsort(values)[-_POLISHED:]
     return _newton_ascent(psi, phi, zs[best], values[best])
-
-
-def default_bound_grid() -> np.ndarray:
-    # the growth bounds are tightest at moderate |z|
-    return polar_grid(6.0, 30, 16, include_origin=True)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    bound: str
-    max_ratio: float
-    witness: complex
-    norm: NormValue
-
-
-def _worst(bound: str, ratios: np.ndarray, sample: np.ndarray, norm: NormValue) -> BoundReport:
-    k = int(np.argmax(ratios))
-    return BoundReport(bound, float(ratios[k]), complex(sample.ravel()[k]), norm)
-
-
-def check_growth_inequalities(f: EntireFunction, p: float,
-                              sample: np.ndarray | None = None,
-                              spec: QuadratureSpec | None = None) -> tuple[BoundReport, BoundReport]:
-    """Measure |f(z)| <= e^{|z|^2/2} ||f||_p and |f'(z)| <= e^2 (1+|z|)
-    e^{|z|^2/2} ||f||_p on the sample from one norm; returns the pointwise
-    and the derivative report, each with its max ratio and its witness."""
-    sample = default_bound_grid() if sample is None else np.asarray(sample, dtype=complex)
-    norm = fock_norm(f, p, spec)
-    if norm.value == 0.0:
-        return (BoundReport("pointwise-growth", 0.0, 0j, norm),
-                BoundReport("derivative-growth", 0.0, 0j, norm))
-    r = np.abs(sample)
-    lhs = np.exp(symbols.log_abs_grid(f, sample) - r**2 / 2.0)
-    pointwise = _worst("pointwise-growth", lhs / norm.value, sample, norm)
-    df = symbols.differentiate(f)
-    if df.is_zero:
-        return pointwise, BoundReport("derivative-growth", 0.0, 0j, norm)
-    log_bound = 2.0 + np.log1p(r) + r**2 / 2.0 + math.log(norm.value)
-    ratios = np.exp(symbols.log_abs_grid(df, sample) - log_bound)
-    return pointwise, _worst("derivative-growth", ratios, sample, norm)
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    norm_small: NormValue  # ||f||_p, the smaller space
-    norm_large: NormValue  # ||f||_q
-    constant: float        # (q/p)^{1/q}
-    ratio: float           # ||f||_q / (constant ||f||_p)
-
-
-def check_embedding(f: EntireFunction, p: float, q: float,
-                    spec: QuadratureSpec | None = None) -> EmbeddingReport:
-    """Measure ||f||_q <= (q/p)^{1/q} ||f||_p for p < q."""
-    p, q = validate_fock_index(p), validate_fock_index(q)
-    if not p < q:
-        raise ValueError("embedding check requires p < q")
-    np_, nq = fock_norm(f, p, spec), fock_norm(f, q, spec)
-    constant = (q / p) ** (1.0 / q)
-    ratio = 0.0 if np_.value == 0.0 else nq.value / (constant * np_.value)
-    return EmbeddingReport(np_, nq, constant, ratio)

@@ -54,13 +54,12 @@ class DifferenceReason(str, Enum):
 
 @dataclass(frozen=True)
 class DifferenceVerdict:
-    compact: bool
     reason: DifferenceReason
     detail: str
 
-    def __post_init__(self):
-        if self.compact != (self.reason is not DifferenceReason.NOT_COMPACT):
-            raise ValueError("compact flag must match the reason")
+    @property
+    def compact(self) -> bool:
+        return self.reason is not DifferenceReason.NOT_COMPACT
 
 
 class ComponentKind(str, Enum):
@@ -118,22 +117,19 @@ def compact_difference(first: WeightedCompositionOperator,
             WeightedCompositionOperator(delta, first.phi, first.p, first.q)).limsup
         if limsup == 0.0:
             return DifferenceVerdict(
-                True, DifferenceReason.SAME_SYMBOL_VANISHING,
+                DifferenceReason.SAME_SYMBOL_VANISHING,
                 "maps coincide and the weight-difference gauge vanishes at infinity",
             )
         return DifferenceVerdict(
-            False, DifferenceReason.NOT_COMPACT,
+            DifferenceReason.NOT_COMPACT,
             f"maps coincide but the weight-difference gauge has limsup {limsup:g}",
         )
 
     if left.verdict is Verdict.COMPACT and right.verdict is Verdict.COMPACT:
-        return DifferenceVerdict(True, DifferenceReason.BOTH_COMPACT,
-                                 "both operators are compact")
+        return DifferenceVerdict(DifferenceReason.BOTH_COMPACT, "both operators are compact")
 
-    return DifferenceVerdict(
-        False, DifferenceReason.NOT_COMPACT,
-        "maps differ and not both operators are compact",
-    )
+    return DifferenceVerdict(DifferenceReason.NOT_COMPACT,
+                             "maps differ and not both operators are compact")
 
 
 def component_id(op: WeightedCompositionOperator) -> ComponentId:

@@ -5,19 +5,12 @@ import math
 import re
 
 import numpy as np
-import pytest
 
-from focklab import fock, symbols as sy, verification
-from focklab.fock import (
-    check_embedding,
-    check_growth_inequalities,
-    default_bound_grid,
-    fock_norm,
-    gauge_peak,
-    kernel,
-)
+from focklab import symbols as sy, verification
+from focklab.fock import fock_norm, gauge_peak, kernel
 from focklab.quadrature import CHECK_SPEC, DEFAULT_SPEC
 from focklab.sampling import random_complex, random_entire_function
+from focklab.verification import BOUND_GRID, growth_ratios
 
 
 def test_kernel_unit_norm_sample():
@@ -103,37 +96,36 @@ def test_sup_norm_examples():
 
 def test_pointwise_bound_reports():
     w = 1 + 1j
-    grid = np.concatenate([default_bound_grid(), [w]])
-    report, _ = check_growth_inequalities(kernel(w), 2.0, sample=grid)
-    assert math.isclose(report.max_ratio, 1.0, rel_tol=1e-9)
-    assert abs(report.witness - w) < 1e-9
+    grid = np.concatenate([BOUND_GRID, [w]])
+    ratios, _ = growth_ratios(kernel(w), 2.0, sample=grid)
+    assert math.isclose(ratios.max(), 1.0, rel_tol=1e-9)
+    assert abs(grid[ratios.argmax()] - w) < 1e-9
 
-    report, _ = check_growth_inequalities(sy.ONE, 2.0)
-    assert math.isclose(report.max_ratio, 1.0, rel_tol=1e-9)
-    assert abs(report.witness) < 1e-9
+    ratios, _ = growth_ratios(sy.ONE, 2.0)
+    assert math.isclose(ratios.max(), 1.0, rel_tol=1e-9)
+    assert abs(BOUND_GRID[ratios.argmax()]) < 1e-9
 
-    report, _ = check_growth_inequalities(sy.variable(), 2.0)
-    assert report.max_ratio <= math.exp(-0.5) * (1 + 1e-9)
+    ratios, _ = growth_ratios(sy.variable(), 2.0)
+    assert ratios.max() <= math.exp(-0.5) * (1 + 1e-9)
 
 
 def test_derivative_bound_reports():
-    _, report = check_growth_inequalities(sy.ONE, 2.0)
-    assert report.max_ratio == 0.0
+    _, ratios = growth_ratios(sy.ONE, 2.0)
+    assert ratios.max() == 0.0
 
     # |f'| = 1 for f = z; the bound is smallest at the origin, e^2 * ||z||_2
-    grid = default_bound_grid()
-    _, report = check_growth_inequalities(sy.variable(), 2.0, sample=grid)
-    assert math.isclose(report.max_ratio, math.exp(-2.0), rel_tol=1e-8)
+    _, ratios = growth_ratios(sy.variable(), 2.0, sample=BOUND_GRID)
+    assert math.isclose(ratios.max(), math.exp(-2.0), rel_tol=1e-8)
 
-    _, report = check_growth_inequalities(kernel(2.0), 2.0)
-    assert report.max_ratio <= 1.0
+    _, ratios = growth_ratios(kernel(2.0), 2.0)
+    assert ratios.max() <= 1.0
 
 
-def test_growth_inequalities_compute_the_norm_once(monkeypatch):
-    norm, calls = fock.fock_norm, []
-    monkeypatch.setattr(fock, "fock_norm", lambda *args: calls.append(args) or norm(*args))
-    pointwise, derivative = check_growth_inequalities(kernel(1 - 1j), 1.5)
-    assert len(calls) == 1 and pointwise.norm is derivative.norm
+def test_growth_ratios_compute_the_norm_once(monkeypatch):
+    norm, calls = verification.fock_norm, []
+    monkeypatch.setattr(verification, "fock_norm", lambda *args: calls.append(args) or norm(*args))
+    growth_ratios(kernel(1 - 1j), 1.5)
+    assert len(calls) == 1
 
 
 def test_pointwise_bound_saturated_by_pure_exponentials():
@@ -141,23 +133,23 @@ def test_pointwise_bound_saturated_by_pure_exponentials():
     # the suite's 1e-8 slack must absorb the equality
     rate = 1.2 - 0.7j
     f = sy.exp_term(rate, 0.8)
-    grid = np.concatenate([default_bound_grid(), [rate.conjugate()]])
+    grid = np.concatenate([BOUND_GRID, [rate.conjugate()]])
     for p in (0.5, 2.0, 3.7):
-        report, _ = check_growth_inequalities(f, p, sample=grid)
-        assert math.isclose(report.max_ratio, 1.0, rel_tol=1e-9)
+        ratios, _ = growth_ratios(f, p, sample=grid)
+        assert math.isclose(ratios.max(), 1.0, rel_tol=1e-9)
 
 
 def test_bound_checks_report_a_violation_without_raising(monkeypatch):
-    # the inequality checks measure and the suite alone judges: with every
+    # the suite judges the ratios it measures: with every
     # norm at an exponent of at most 2 halved, the growth ratios at p = 0.5,
     # 1 and 2 and the embedding ratios of the pair (2, 5) double
-    norm = fock.fock_norm
+    norm = verification.fock_norm
 
     def halved(f, p, spec=None):
         n = norm(f, p, spec)
         return dataclasses.replace(n, value=n.value / 2.0) if p <= 2.0 else n
 
-    monkeypatch.setattr(fock, "fock_norm", halved)
+    monkeypatch.setattr(verification, "fock_norm", halved)
     for check in (verification.check_growth_bounds, verification.check_embedding_suite):
         result = check(np.random.default_rng(0), True)
         ratios = [float(x) for x in re.findall(r"ratio (\d+\.\d+)", result.detail)]
@@ -165,10 +157,10 @@ def test_bound_checks_report_a_violation_without_raising(monkeypatch):
 
 
 def test_embedding_examples():
-    report = check_embedding(sy.ONE, 1.0, 2.0)
-    assert math.isclose(report.ratio, 1.0 / math.sqrt(2.0), rel_tol=1e-9)
-    assert check_embedding(kernel(1 + 2j), 0.5, 1.0).ratio <= 1.0 + 1e-9
-    assert check_embedding(sy.monomial(2), 1.0, 3.0, spec=CHECK_SPEC).ratio <= 1.0
-    with pytest.raises(ValueError):
-        check_embedding(sy.ONE, 2.0, 1.0)
+    # ||f||_q / ((q/p)^{1/q} ||f||_p), which the embedding bounds by 1
+    def ratio(f, p, q, spec=None):
+        return fock_norm(f, q, spec).value / ((q / p) ** (1.0 / q) * fock_norm(f, p, spec).value)
 
+    assert math.isclose(ratio(sy.ONE, 1.0, 2.0), 1.0 / math.sqrt(2.0), rel_tol=1e-9)
+    assert ratio(kernel(1 + 2j), 0.5, 1.0) <= 1.0 + 1e-9
+    assert ratio(sy.monomial(2), 1.0, 3.0, spec=CHECK_SPEC) <= 1.0
