@@ -1,8 +1,8 @@
 """Golden-report gate: fixed inputs must render byte-identical JSON reports.
 
 The cases are the README's CLI examples (at matrix order 32 and 2 path
-steps) plus ``classify`` on each decision branch, the q < p ``opnorm`` and
-``verify --fast``.
+steps) plus ``classify`` on each decision branch, the q < p ``opnorm``, ``verify --fast``
+and two fractional-p norms whose zeros are graded cusps.
 A change that alters a report on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -40,6 +40,10 @@ CASES = [
     ("opnorm", {"psi": "1", "phi": "0.5,0", "p": 3.0, "q": 2.0}),
     # the acceptance checks at reduced sample counts
     ("verify", {"fast": True}),
+    # fractional p: a one-term double zero (np.roots) and four simple zeros
+    # of two terms (winding number and Newton), each a graded cusp
+    ("norm", {"symbol": "(z-(0.3+0.4i))^2*exp((0.3-0.4i)*z)", "p": 2.5}),
+    ("norm", {"symbol": "(z-0.5)^2*exp((0.2-0.1i)*z)+0.3*exp((0-1)*z)", "p": 1.5}),
 ]
 
 
