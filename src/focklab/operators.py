@@ -73,7 +73,6 @@ class TruncatedMatrix:
     fraction lost to truncation.
     """
 
-    order: int
     entries: np.ndarray
     column_tail_fractions: tuple[float, ...]
 
@@ -153,7 +152,7 @@ def f2_matrix(op: WeightedCompositionOperator, order: int = 64,
             terms.append((t.rate, raw))
         entries, fractions = _normalized_coefficients(terms, order, order)
     tails = tuple(fractions.tolist())
-    matrix = TruncatedMatrix(order, entries, tails)
+    matrix = TruncatedMatrix(entries, tails)
     if check_tail and max(tails) > _TAIL_FRACTION:
         raise TailLoss(
             f"column tail fraction {max(tails):g} exceeds {_TAIL_FRACTION:g} at order {order}"

@@ -12,10 +12,10 @@ to the identical function.
 A subexpression free of ``z`` folds to a plain ``complex`` (``0j`` for the
 zero function) by the same float operations and admissibility checks that
 ``symbols.add``, ``scale`` and ``mul`` apply to constant symbols.  One that
-depends on ``z`` is a tuple of canonical ``(rate, coeffs)`` pairs, combined
-by the pair helpers that those three functions wrap, so the parser and the
-symbol class share one canonical rule.  The ``EntireFunction`` is built once,
-from the final value.
+depends on ``z`` is a tuple of canonical ``PolyExpTerm``, combined by the
+term helpers that those three functions wrap, so the parser and the symbol
+class share one canonical rule and one check per term.  The
+``EntireFunction`` wraps the final value.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import re
 
 from . import symbols
 from .errors import ParseError
-from .symbols import EntireFunction
+from .symbols import EntireFunction, PolyExpTerm
 
 # the alternatives are disjoint; operators, the commonest, are tried first
 _TOKEN = re.compile(
@@ -45,10 +45,10 @@ _MAX_NESTING = 64
 
 # a token is (kind, text, position, value) with kind number | imag | name | op | end
 _Token = tuple[str, str, int, float]
-# complex while free of z, else canonical (rate, coeffs) pairs
-_Value = complex | tuple
-_VARIABLE = ((0j, (0j, 1 + 0j)),)
-_ONE = ((0j, (1 + 0j,)),)
+# complex while free of z, else a tuple of canonical terms
+_Value = complex | tuple[PolyExpTerm, ...]
+_VARIABLE = (PolyExpTerm((0j, 1 + 0j), 0j),)
+_ONE = (PolyExpTerm((1 + 0j,), 0j),)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -75,10 +75,10 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _lift(v: _Value) -> tuple:
+def _lift(v: _Value) -> tuple[PolyExpTerm, ...]:
     if not isinstance(v, complex):
         return v
-    return ((0j, (v,)),) if v else ()
+    return (PolyExpTerm((v,), 0j),) if v else ()
 
 
 def _add(f: _Value, g: _Value) -> _Value:
@@ -197,7 +197,7 @@ class _Parser:
 def _exp_of(arg: _Value, position: int) -> _Value:
     shift, rate = (arg if isinstance(arg, complex) else 0j), 0j
     if not isinstance(arg, complex) and arg:
-        t_rate, coeffs = arg[0]
+        coeffs, t_rate = arg[0]
         if len(arg) > 1 or abs(t_rate) > symbols.TOL_SYM or len(coeffs) > 2:
             raise ParseError("argument of exp must be a polynomial of degree at most one", position)
         shift, rate = coeffs[0], (coeffs[1] if len(coeffs) > 1 else 0j)
@@ -219,7 +219,7 @@ def _parse(text: str) -> _Value:
 def parse_symbol(text: str) -> EntireFunction:
     """Parse an expression in the documented grammar into canonical form."""
     value = _parse(text)
-    return symbols.constant(value) if isinstance(value, complex) else symbols._from_pairs(value)
+    return symbols.constant(value) if isinstance(value, complex) else symbols._from_terms(value)
 
 
 def parse_complex(text: str) -> complex:

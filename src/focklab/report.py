@@ -290,8 +290,7 @@ def _handle_path(options, config: RunConfig) -> Report:
     if kind == "translate":
         for key in ("b1", "b2"):
             if key in options:
-                value = options[key]
-                kwargs[key] = value if isinstance(value, complex) else parse_complex(str(value))
+                kwargs[key] = parse_complex(options[key])
                 inputs[key] = _complex(kwargs[key])
     elif "phi" in options:
         kwargs["phi"] = parse_affine(options["phi"])

@@ -15,6 +15,10 @@ from . import symbols
 from .symbols import AffineMap, EntireFunction, PolyExpTerm
 from .operators import WeightedCompositionOperator
 
+# coefficients are drawn from a disc of this radius, then pushed past _MIN_COEFF
+_COEFF_RADIUS = 1.5
+_MIN_COEFF = 0.25
+
 
 def random_complex(rng: np.random.Generator, radius: float) -> complex:
     r = radius * math.sqrt(rng.uniform())
@@ -23,9 +27,7 @@ def random_complex(rng: np.random.Generator, radius: float) -> complex:
 
 
 def random_entire_function(rng: np.random.Generator, *, max_terms: int = 3,
-                           max_degree: int = 3, rate_radius: float = 1.5,
-                           coeff_radius: float = 1.5,
-                           min_coeff: float = 0.25) -> EntireFunction:
+                           max_degree: int = 3, rate_radius: float = 1.5) -> EntireFunction:
     """A nonzero random member of the poly-exp class with O(1) coefficients."""
     while True:
         n_terms = int(rng.integers(1, max_terms + 1))
@@ -34,10 +36,10 @@ def random_entire_function(rng: np.random.Generator, *, max_terms: int = 3,
             degree = int(rng.integers(0, max_degree + 1))
             coeffs = []
             for _ in range(degree + 1):
-                c = random_complex(rng, coeff_radius)
-                if abs(c) < min_coeff:
-                    c += min_coeff * complex(math.cos(rng.uniform(0, 2 * math.pi)),
-                                             math.sin(rng.uniform(0, 2 * math.pi)))
+                c = random_complex(rng, _COEFF_RADIUS)
+                if abs(c) < _MIN_COEFF:
+                    c += _MIN_COEFF * complex(math.cos(rng.uniform(0, 2 * math.pi)),
+                                              math.sin(rng.uniform(0, 2 * math.pi)))
                 coeffs.append(c)
             terms.append(PolyExpTerm(tuple(coeffs), random_complex(rng, rate_radius)))
         f = EntireFunction(tuple(terms))
@@ -70,7 +72,6 @@ def unit_leaf_weight(phi: AffineMap, coefficient: complex) -> EntireFunction:
 
 def random_bounded_operator(rng: np.random.Generator, p: float, q: float, *,
                             a_max: float = 0.7, allow_unit: bool = False,
-                            max_terms: int = 2, max_degree: int = 2,
                             rate_radius: float = 0.8,
                             b_radius: float = 0.8) -> WeightedCompositionOperator:
     """A random operator that is bounded from the p-space to the q-space.
@@ -86,6 +87,5 @@ def random_bounded_operator(rng: np.random.Generator, p: float, q: float, *,
             c += 0.5
         return WeightedCompositionOperator(unit_leaf_weight(phi, c), phi, p, q)
     phi = random_affine(rng, regime="interior", a_max=a_max, b_radius=b_radius)
-    psi = random_entire_function(rng, max_terms=max_terms, max_degree=max_degree,
-                                 rate_radius=rate_radius)
+    psi = random_entire_function(rng, max_terms=2, max_degree=2, rate_radius=rate_radius)
     return WeightedCompositionOperator(psi, phi, p, q)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,35 +111,25 @@ def _poly_horner(coeffs: Sequence[complex], z: complex) -> complex:
     return acc
 
 
-# a term as a plain pair; the canonical rule and the algebra's helpers work on these
-_Pair = tuple[complex, tuple[complex, ...]]
-
-
-def _term(coeffs: tuple[complex, ...], rate: complex) -> _Pair:
-    """The pair of complex coefficients and rate, each modulus inside the float range."""
-    if not _finite_moduli((*coeffs, rate)):  # name the offending value
-        coeffs = tuple(_check_finite(c, "coefficient") for c in coeffs)
-        rate = _check_finite(rate, "rate")
-    return rate, coeffs
-
-
-@dataclass(frozen=True)
-class PolyExpTerm:
-    """One term P(z) * exp(rate * z), coefficients ascending in degree."""
+class PolyExpTerm(NamedTuple):
+    """One term P(z) * exp(rate * z), coefficients ascending; ``_term`` checks it."""
 
     coeffs: tuple[complex, ...]
     rate: complex
 
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("PolyExpTerm needs at least one coefficient")
-        rate, coeffs = _term(tuple(map(complex, self.coeffs)), complex(self.rate))
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rate", rate)
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+
+def _term(coeffs: tuple[complex, ...], rate: complex) -> PolyExpTerm:
+    """The term of complex coefficients, at least one, and rate, each modulus in the float range."""
+    if not coeffs:
+        raise ValueError("PolyExpTerm needs at least one coefficient")
+    if not _finite_moduli((*coeffs, rate)):  # name the offending value
+        coeffs = tuple(_check_finite(c, "coefficient") for c in coeffs)
+        rate = _check_finite(rate, "rate")
+    return PolyExpTerm(coeffs, rate)
 
 
 def _is_noise(c: complex, moduli: float, count: int) -> bool:
@@ -148,18 +138,18 @@ def _is_noise(c: complex, moduli: float, count: int) -> bool:
     return c == 0 or moduli < math.inf and abs(c) <= (count - 1) * _EPS * moduli
 
 
-def _canonical(pairs: tuple[_Pair, ...]) -> tuple[_Pair, ...]:
-    """Admissible pairs in canonical form: sorted by rate, rates within
+def _canonical(terms: tuple[PolyExpTerm, ...]) -> tuple[PolyExpTerm, ...]:
+    """Admissible terms in canonical form: sorted by rate, rates within
     TOL_SYM merged, trailing noise trimmed.  One term with a nonzero top
     coefficient comes back as the same object."""
-    if len(pairs) == 1 and pairs[0][1][-1] != 0:
-        return pairs
-    items = sorted(pairs, key=lambda it: (it[0].real, it[0].imag))
+    if len(terms) == 1 and terms[0].coeffs[-1] != 0:
+        return terms
+    items = sorted(terms, key=lambda t: (t.rate.real, t.rate.imag))
 
     # per merged rate: coefficients, the sums of the summands' moduli, and
     # the number of summands
     merged: list[tuple[complex, list[complex], list[float], int]] = []
-    for rate, coeffs in items:
+    for coeffs, rate in items:
         moduli = [abs(c) for c in coeffs]
         try:
             same = merged and (abs(rate - merged[-1][0])
@@ -182,32 +172,26 @@ def _canonical(pairs: tuple[_Pair, ...]) -> tuple[_Pair, ...]:
         while k > 0 and _is_noise(coeffs[k - 1], moduli[k - 1], count):
             k -= 1
         if k:
-            out.append(_term(tuple(coeffs[:k]), rate) if count > 1 else (rate, coeffs[:k]))
+            out.append(_term(tuple(coeffs[:k]), rate) if count > 1 else PolyExpTerm(coeffs[:k], rate))
     return tuple(out)
 
 
-def _pairs(f: "EntireFunction") -> tuple[_Pair, ...]:
-    return tuple((t.rate, t.coeffs) for t in f.terms)
-
-
-def _from_pairs(pairs: tuple[_Pair, ...]) -> "EntireFunction":
-    """The symbol of canonical pairs, built without a second canonical pass."""
+def _from_terms(terms: tuple[PolyExpTerm, ...]) -> "EntireFunction":
+    """The symbol of canonical terms, built without a second check or canonical pass."""
     f = object.__new__(EntireFunction)
-    object.__setattr__(f, "terms", tuple(PolyExpTerm(coeffs, rate) for rate, coeffs in pairs))
+    object.__setattr__(f, "terms", terms)
     return f
 
 
 @dataclass(frozen=True)
 class EntireFunction:
-    """Canonical finite sum of PolyExpTerm; the zero function has no terms."""
+    """Canonical finite sum of PolyExpTerm, each checked once; the zero function has no terms."""
 
     terms: tuple[PolyExpTerm, ...] = field(default=())
 
     def __post_init__(self):
-        pairs = _pairs(self)
-        canonical = _canonical(pairs)
-        terms = self.terms if canonical is pairs else (PolyExpTerm(coeffs, rate) for rate, coeffs in canonical)
-        object.__setattr__(self, "terms", tuple(terms))
+        terms = tuple(_term(tuple(map(complex, t.coeffs)), complex(t.rate)) for t in self.terms)
+        object.__setattr__(self, "terms", _canonical(terms))
 
     @property
     def is_zero(self) -> bool:
@@ -250,28 +234,29 @@ def variable() -> EntireFunction:
 
 def exp_term(rate: complex, coefficient: complex = 1.0) -> EntireFunction:
     """coefficient * exp(rate * z)."""
-    return _from_pairs(_canonical((_term((complex(coefficient),), complex(rate)),)))
+    return _from_terms(_canonical((_term((complex(coefficient),), complex(rate)),)))
 
 
 def add(f: EntireFunction, g: EntireFunction) -> EntireFunction:
-    return _from_pairs(_canonical(_pairs(f) + _pairs(g)))
+    return _from_terms(_canonical(f.terms + g.terms))
 
 
-def _scale(pairs: tuple[_Pair, ...], c: complex) -> tuple[_Pair, ...]:
-    # canonical pairs scaled by c keep their rates and order: only a top
+def _scale(terms: tuple[PolyExpTerm, ...], c: complex) -> tuple[PolyExpTerm, ...]:
+    # canonical terms scaled by c keep their rates and order: only a top
     # coefficient that became zero, or a term that did, can go
     out = []
-    for rate, coeffs in pairs:
-        coeffs = _term(tuple(c * a for a in coeffs), rate)[1]
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if coeffs:
-            out.append((rate, coeffs))
+    for coeffs, rate in terms:
+        term = _term(tuple(c * a for a in coeffs), rate)
+        k = len(coeffs)
+        while k and term.coeffs[k - 1] == 0:
+            k -= 1
+        if k:
+            out.append(term if k == len(coeffs) else PolyExpTerm(term.coeffs[:k], rate))
     return tuple(out)
 
 
 def scale(f: EntireFunction, c: complex) -> EntireFunction:
-    return _from_pairs(_scale(_pairs(f), _check_finite(c, "scalar")))
+    return _from_terms(_scale(f.terms, _check_finite(c, "scalar")))
 
 
 def negate(f: EntireFunction) -> EntireFunction:
@@ -282,12 +267,12 @@ def sub(f: EntireFunction, g: EntireFunction) -> EntireFunction:
     return add(f, negate(g))
 
 
-def _mul(f: tuple[_Pair, ...], g: tuple[_Pair, ...]) -> tuple[_Pair, ...]:
-    return _canonical(tuple(_term(tuple(_poly_mul(sc, tc)), sr + tr) for sr, sc in f for tr, tc in g))
+def _mul(f: tuple[PolyExpTerm, ...], g: tuple[PolyExpTerm, ...]) -> tuple[PolyExpTerm, ...]:
+    return _canonical(tuple(_term(tuple(_poly_mul(sc, tc)), sr + tr) for sc, sr in f for tc, tr in g))
 
 
 def mul(f: EntireFunction, g: EntireFunction) -> EntireFunction:
-    return _from_pairs(_mul(_pairs(f), _pairs(g)))
+    return _from_terms(_mul(f.terms, g.terms))
 
 
 def differentiate(f: EntireFunction) -> EntireFunction:
@@ -305,7 +290,7 @@ def differentiate(f: EntireFunction) -> EntireFunction:
         if not _finite_moduli(coeffs):
             raise NumericFailure("f' has a coefficient beyond the float range")
         terms.append(PolyExpTerm(tuple(coeffs), t.rate))
-    return EntireFunction(tuple(terms))
+    return _from_terms(_canonical(tuple(terms)))
 
 
 def evaluate(f: EntireFunction, z: complex) -> complex:
@@ -459,10 +444,11 @@ def compose_affine(f: EntireFunction, phi: "AffineMap") -> EntireFunction:
                 rebased = _poly_add(rebased, [pk * c for c in power])
         front = _cexp(t.rate * b)
         coeffs = tuple(front * c for c in rebased)
-        if not _finite_moduli(coeffs):
-            raise NumericFailure("f(a z + b) has a coefficient beyond the float range")
-        terms.append(PolyExpTerm(coeffs, t.rate * a))
-    return EntireFunction(tuple(terms))
+        rate = t.rate * a
+        if not _finite_moduli((*coeffs, rate)):
+            raise NumericFailure("f(a z + b) has a coefficient or rate beyond the float range")
+        terms.append(PolyExpTerm(coeffs, rate))
+    return _from_terms(_canonical(tuple(terms)))
 
 
 def envelope_majorant(f: EntireFunction) -> tuple[float, int, float]:
@@ -471,15 +457,15 @@ def envelope_majorant(f: EntireFunction) -> tuple[float, int, float]:
     return amp, f.degree, f.max_rate
 
 
-def _constant_value(pairs: tuple[_Pair, ...], tol: float = TOL_SYM) -> complex | None:
-    if len(pairs) == 1 and len(pairs[0][1]) == 1 and abs(pairs[0][0]) <= tol:
-        return pairs[0][1][0]
-    return None if pairs else 0j
+def _constant_value(terms: tuple[PolyExpTerm, ...], tol: float = TOL_SYM) -> complex | None:
+    if len(terms) == 1 and len(terms[0].coeffs) == 1 and abs(terms[0].rate) <= tol:
+        return terms[0].coeffs[0]
+    return None if terms else 0j
 
 
 def constant_value(f: EntireFunction, tol: float = TOL_SYM) -> complex | None:
     """The constant value of f if f is constant (0 included), else None."""
-    return _constant_value(_pairs(f), tol)
+    return _constant_value(f.terms, tol)
 
 
 def isclose(f: EntireFunction, g: EntireFunction, tol: float = 1e-9) -> bool:
@@ -494,7 +480,7 @@ def isclose(f: EntireFunction, g: EntireFunction, tol: float = 1e-9) -> bool:
     return all(abs(c) <= cut for t in d.terms for c in t.coeffs)
 
 
-def proportionality_ratio(f: EntireFunction, g: EntireFunction, tol: float = 1e-9) -> complex | None:
+def proportionality_ratio(f: EntireFunction, g: EntireFunction) -> complex | None:
     """lam with g = lam * f (both nonzero), or None if not proportional."""
     if f.is_zero or g.is_zero:
         return None
@@ -504,7 +490,7 @@ def proportionality_ratio(f: EntireFunction, g: EntireFunction, tol: float = 1e-
     lead_g = g.terms[0].coeffs[-1]
     lam = lead_g / lead_f
     try:
-        return lam if isclose(scale(f, lam), g, tol) else None
+        return lam if isclose(scale(f, lam), g) else None
     except Inadmissible:  # lam * f, or its difference from g, leaves the float range
         return None
 

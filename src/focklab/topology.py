@@ -77,16 +77,6 @@ class ComponentId:
         if (self.leaf_key is not None) != (self.kind is ComponentKind.UNIT_MODULUS_LEAF):
             raise ValueError("leaf_key present iff the component is a unit-modulus leaf")
 
-    def matches(self, other: "ComponentId", tol: float = 1e-12) -> bool:
-        if self.kind is not other.kind:
-            return False
-        if self.leaf_key is None:
-            return True
-        return (
-            abs(self.leaf_key[0] - other.leaf_key[0]) <= tol
-            and abs(self.leaf_key[1] - other.leaf_key[1]) <= tol
-        )
-
 
 def compact_difference(first: WeightedCompositionOperator,
                        second: WeightedCompositionOperator) -> DifferenceVerdict:

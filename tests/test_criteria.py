@@ -1,5 +1,6 @@
 """Gauge machinery and the classification theorems' exact decisions."""
 
+import cmath
 import math
 
 import numpy as np
@@ -409,3 +410,50 @@ def test_norm_chain_small(rng):
         witness = berezin(op, op.phi(z), CHECK_SPEC) ** (1.0 / op.q)
         assert gauge_at(op.psi, op.phi, z) <= witness * (1 + 1e-6)
         assert witness <= upper * (1 + 1e-6)
+
+
+def _translated(op: WeightedCompositionOperator, u: complex) -> WeightedCompositionOperator:
+    """T_{-u} W T_u with T_u f(z) = f(z - u) e^{conj(u) z - |u|^2/2}, an isometry
+    of every Fock space: phi'(z) = a z + (a - 1) u + b and
+    psi'(z) = psi(z + u) e^{conj(u)(a - 1) z} e^{conj(u)(a u + b) - |u|^2}."""
+    a, b, w = op.phi.a, op.phi.b, u.conjugate()
+    shifted = sy.compose_affine(op.psi, AffineMap(1.0, u))
+    weight = sy.exp_term(w * (a - 1.0), cmath.exp(w * (a * u + b) - abs(u) ** 2))
+    return WeightedCompositionOperator(sy.mul(shifted, weight), AffineMap(a, (a - 1.0) * u + b),
+                                       op.p, op.q)
+
+
+def _rotated(op: WeightedCompositionOperator, theta: float) -> WeightedCompositionOperator:
+    """The operator conjugated by the rotation f -> f(e^{-i theta} z)."""
+    turn = complex(math.cos(theta), math.sin(theta))
+    return WeightedCompositionOperator(sy.compose_affine(op.psi, AffineMap(turn.conjugate(), 0.0)),
+                                       AffineMap(op.phi.a, turn * op.phi.b), op.p, op.q)
+
+
+def test_translation_and_rotation_covariance():
+    # T_u and rotations are isometries of every F^p, so conjugating W by them
+    # keeps its verdict, gauge profile, plane norm and essential-norm bracket
+    def close(x, y, tol):
+        return x == y or abs(x - y) <= tol * max(abs(x), abs(y))
+
+    rng = np.random.default_rng(27)
+    pairs = [(2.0, 2.0), (1.0, 2.0), (1.5, 3.0), (3.0, 2.0), (2.5, 1.5), (2.0, 1.0), (2.0, 4.0)]
+    for p, q in pairs * 3:
+        op = random_bounded_operator(rng, p, q, allow_unit=True)
+        u, theta = random_complex(rng, 1.5), rng.uniform(0.0, 2.0 * math.pi)
+        base = decide(op)
+        profile = gauge_profile(op.psi, op.phi)
+        for other in (_translated(op, u), _rotated(op, theta)):
+            decision = decide(other)
+            assert (decision.verdict, decision.rules) == (base.verdict, base.rules)
+            assert close(decision.limsup, base.limsup, 1e-12)
+            moved = gauge_profile(other.psi, other.phi)
+            assert close(moved.symbolic_sup, profile.symbolic_sup, 1e-12)
+            assert close(moved.symbolic_limsup, profile.symbolic_limsup, 1e-12)
+            if q < p:
+                ls = gauge_plane_norm(op.psi, op.phi, p, q, CHECK_SPEC)
+                assert close(gauge_plane_norm(other.psi, other.phi, p, q, CHECK_SPEC), ls,
+                             2.0 * CHECK_SPEC.rel_tol)
+            elif p > 1.0:
+                for x, y in zip(essential_norm_bracket(other), essential_norm_bracket(op)):
+                    assert close(x, y, 1e-12)

@@ -81,6 +81,19 @@ def test_sums_past_the_float_range_are_not_rounding_noise():
     assert [t.rate for t in f.terms] == [-0.5e308 + 1.5e308j, 1e308]
 
 
+def test_terms_are_checked_when_a_symbol_is_built():
+    # a PolyExpTerm is a plain named tuple; EntireFunction converts and checks it
+    f = EntireFunction((PolyExpTerm((1, 2.0), 0.5), PolyExpTerm((3,), 0.5)))
+    assert f.terms == (((4 + 0j, 2 + 0j), 0.5 + 0j),)
+    assert all(type(c) is complex for c in (*f.terms[0].coeffs, f.terms[0].rate))
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        EntireFunction((PolyExpTerm((), 0j),))
+    with pytest.raises(Inadmissible, match="coefficient must have finite"):
+        EntireFunction((PolyExpTerm((1.0, math.nan), 0j),))
+    with pytest.raises(Inadmissible, match="rate must have a modulus"):
+        EntireFunction((PolyExpTerm((1.0,), 1.5e308 + 1.5e308j),))
+
+
 def test_mul_merges_rates():
     f = sy.mul(sy.variable(), sy.exp_term(1.0))
     assert len(f.terms) == 1
@@ -299,3 +312,15 @@ def test_zeros_of_several_terms_match_the_argument_principle(rng):
         assert len(zeros) == sy._winding_number(f, 8.0)
         for z, _ in zeros:
             assert abs(z) < 8.0 and abs(f(z)) <= 1e-10 * growth_envelope(f, abs(z))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_family_image_zeros_carry_the_map_root():
+    # a family image psi * phi^n has an n-fold zero at -b/a; today np.roots
+    # scatters it into n simple zeros, and the Newton search does not certify it
+    power = AffineMap(0.5, 0.2)
+    for psi in (sy.ONE, parse_symbol("1 + z*exp(0.3*z)")):
+        for n in (5, 10, 17):
+            zeros = sy.zeros(sy.mul(psi, sy.compose_affine(sy.monomial(n), power)), 12.0)
+            assert zeros is not None
+            assert any(abs(z + 0.4) <= 1e-6 and m == n for z, m in zeros)

@@ -94,7 +94,6 @@ def test_component_id_cases():
     cid = component_id(leaf)
     assert cid.kind is ComponentKind.UNIT_MODULUS_LEAF
     assert cid.leaf_key == (1.0 + 0j, 1.0 + 0j)
-    assert cid.matches(cid)
 
     connected = WeightedCompositionOperator(
         sy.add(sy.ONE, sy.variable()), AffineMap(0.4, 0.2), 3.0, 2.0)
